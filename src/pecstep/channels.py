@@ -40,8 +40,8 @@ class PauliChannelParams:
 
     def __post_init__(self):
         for name, value in zip(("lx", "ly", "lz"), self.as_tuple()):
-            if not value >= 0.0:
-                raise ValueError(f"{name}: probability must be >= 0, got {value}")
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name}: probability must be finite and >= 0, got {value}")
         if self.lx + self.ly + self.lz > 1.0 + 1e-15:
             raise ValueError(
                 f"lx+ly+lz = {self.lx + self.ly + self.lz} > 1: not a physical channel"

@@ -25,6 +25,7 @@ Config files are flat `key = value` lines, '#' starts a comment.  Keys:
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -81,9 +82,12 @@ def _number(values: dict, key: str, convert, default=None):
     if key not in values:
         return default
     try:
-        return convert(values[key])
+        number = convert(values[key])
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {values[key]!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: expected a finite number, got {values[key]!r}")
+    return number
 
 
 def config_from_values(values: dict) -> ScenarioConfig:

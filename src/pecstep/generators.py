@@ -5,6 +5,7 @@ acts as g(P rho P - rho).  Both become 4x4 matrices on the column-stacked
 state.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ class PauliRates:
 
     def __post_init__(self):
         for name, value in zip(("gx", "gy", "gz"), self.as_tuple()):
-            if not value >= 0.0:
-                raise ValueError(f"{name}: rate must be >= 0, got {value}")
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name}: rate must be finite and >= 0, got {value}")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.gx, self.gy, self.gz)

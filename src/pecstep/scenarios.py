@@ -83,6 +83,10 @@ class ScenarioConfig:
             raise ValueError("device: analog hardware takes Pauli rates")
         if self.mitigation == "linear-inverse" and self.hardware == "digital":
             raise ValueError("mitigation: linear-inverse is defined for analog hardware only")
+        for name in ("omega", "beta", "dt", "bias"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name}: must be a finite number, got {value}")
         if not self.dt > 0:
             raise ValueError(f"dt: must be > 0, got {self.dt}")
         if self.steps < 1:
@@ -341,13 +345,15 @@ def _reference_params(cfg: ScenarioConfig, kind: str) -> dict:
     raise ValueError(f"unknown reference kind {kind!r}")
 
 
-def ideal_evolution(cfg: ScenarioConfig) -> TimeSeries:
+def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) -> TimeSeries:
     """Infinite-sample evolution: the mitigation map applied as a matrix.
 
     Also evolves the exact target dynamics exp((L_h + L_d) t) and records
-    the fidelity of the mitigated state against it per step.
+    the fidelity of the mitigated state against it per step.  `plan` is
+    build_scenario(cfg), built here when not given.
     """
-    plan = build_scenario(cfg)
+    if plan is None:
+        plan = build_scenario(cfg)
     gens = _dynamics_generators(cfg)
     exact_gen = combine(gens["unitary"], gens["target"])
     rho0 = devectorize(plan.rho0)
@@ -385,10 +391,11 @@ def simulate(
     cfg: ScenarioConfig, workers: int | None = None
 ) -> tuple[TimeSeries, sampling.EnsembleStats | None]:
     """Ideal evolution plus, when cfg.samples > 0, the Monte Carlo ensemble."""
-    series = ideal_evolution(cfg)
+    plan = build_scenario(cfg)
+    series = ideal_evolution(cfg, plan)
     if cfg.samples == 0:
         return series, None
-    stats = sampling.run_ensemble(build_scenario(cfg), cfg.samples, cfg.seed, workers)
+    stats = sampling.run_ensemble(plan, cfg.samples, cfg.seed, workers)
     series = replace(series, mc_mean=stats.mean, mc_stderr=stats.stderr)
     return series, stats
 

@@ -85,6 +85,9 @@ def test_channel_params_validation():
         PauliChannelParams(-0.1, 0, 0)
     with pytest.raises(ValueError):
         PauliChannelParams(0.5, 0.4, 0.2)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="lz"):
+            PauliChannelParams(0.1, 0.1, bad)
 
 
 def test_transfer_identity_map():

@@ -1,4 +1,6 @@
 import json
+import math
+
 import pytest
 
 from pecstep.cli import (
@@ -176,3 +178,46 @@ def test_worker_env_var_does_not_change_csv(tmp_path, monkeypatch):
     monkeypatch.setenv("PECSTEP_WORKERS", "3")
     main(["figure", "fig1a", "--samples", "2000", "--output", str(parallel)])
     assert (serial / "fig1a.csv").read_bytes() == (parallel / "fig1a.csv").read_bytes()
+
+
+# depolarizing 0.05 per Pauli at dt = 0.5: gamma = 1.375, so gamma^n leaves
+# the float range past n ~ 2228 (and gamma^2n past n ~ 1114)
+HEAVY_CFG = """\
+hardware = digital
+mitigation = exact
+noise_lx = 0.05
+noise_ly = 0.05
+noise_lz = 0.05
+dt = 0.5
+"""
+
+
+def test_long_run_keeps_monte_carlo_columns_finite(tmp_path):
+    cfg = _write(tmp_path, "heavy.cfg", HEAVY_CFG + "steps = 2000\n")
+    args = ["run", "--config", str(cfg), "--samples", "256", "--seed", "1"]
+    assert main(args + ["--output", str(tmp_path)]) == 0
+    rows = (tmp_path / "heavy.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2001
+    for row in rows:
+        mc_mean, mc_stderr = row.split(",")[4:6]
+        assert mc_mean and mc_stderr
+        assert math.isfinite(float(mc_mean)) and math.isfinite(float(mc_stderr))
+
+
+def test_weight_overflow_exits_with_message(tmp_path, capsys):
+    cfg = _write(tmp_path, "heavy.cfg", HEAVY_CFG + "steps = 2300\n")
+    args = ["run", "--config", str(cfg), "--samples", "256", "--seed", "1"]
+    assert main(args + ["--output", str(tmp_path)]) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not (tmp_path / "heavy.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "hardware, key, value",
+    [("digital", "omega", "nan"), ("analog", "noise_kx", "inf"), ("digital", "dt", "inf")],
+)
+def test_non_finite_config_value_exits_naming_key(tmp_path, capsys, hardware, key, value):
+    cfg = _write(tmp_path, "bad.cfg", f"hardware = {hardware}\nsteps = 3\n{key} = {value}\n")
+    assert main(["run", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+    assert f"{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "bad.csv").exists()

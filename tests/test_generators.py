@@ -80,6 +80,9 @@ def test_pauli_dissipator_zero_rates():
 def test_negative_rate_rejected():
     with pytest.raises(ValueError):
         PauliRates(-0.1, 0, 0)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="gy"):
+            PauliRates(0.1, bad, 0)
 
 
 def _bloch_component(rho, pauli):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import pecstep.sampling as sampling
-from pecstep.channels import PauliChannelParams
+from conftest import random_density
+from pecstep.channels import PAULI_CONJUGATIONS, PauliChannelParams
 from pecstep.generators import check_density_matrix
+from pecstep.linalg import X, Y, Z
 from pecstep.presets import PRESETS
 from pecstep.sampling import exhaustive_expectation, run_ensemble, run_trajectory
 from pecstep.scenarios import (
@@ -126,6 +128,30 @@ def test_trajectory_matches_ensemble_row():
     stats = run_ensemble(plan, 1, seed=42)
     traj = run_trajectory(plan, 42, index=0)
     assert np.allclose(stats.mean, traj.observable(), atol=1e-12)
+
+
+def test_ensemble_moments_match_replayed_trajectories(monkeypatch):
+    # 20 samples over chunks of 7 rows: the chunk merge, the sign folding
+    # and the late gamma^n must reproduce the plain per-trajectory moments
+    monkeypatch.setattr(sampling, "CHUNK", 7)
+    plan = _plan(_fig1a(steps=6))
+    stats = run_ensemble(plan, 20, seed=13)
+    obs = np.array([run_trajectory(plan, 13, index=i).observable() for i in range(20)])
+    assert np.allclose(stats.mean, obs.mean(axis=0), rtol=0, atol=1e-12)
+    assert np.allclose(stats.std, obs.std(axis=0, ddof=1), rtol=0, atol=1e-12)
+
+
+def test_pauli_conjugations_are_branch_diagonals():
+    for conj, diag in zip(PAULI_CONJUGATIONS, sampling.BRANCH_DIAG):
+        assert np.allclose(sampling.pauli_transfer(conj), np.diag(diag), rtol=0, atol=1e-15)
+    assert np.array_equal(sampling.BRANCH_DIAG[3], np.ones(4))
+
+
+def test_pauli_coordinates_round_trip(rng):
+    for _ in range(5):
+        rho = random_density(rng)
+        r = np.array([np.trace(p @ rho).real for p in (np.eye(2), X, Y, Z)])
+        assert np.allclose(sampling.pauli_to_density(r), rho, rtol=0, atol=1e-15)
 
 
 def test_trajectory_states_stay_physical():

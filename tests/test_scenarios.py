@@ -62,6 +62,10 @@ def test_config_rejects_bad_scalars():
         ScenarioConfig(hardware="analog", device=PauliRates(), steps=0)
     with pytest.raises(ValueError, match="bias"):
         ScenarioConfig(hardware="analog", device=PauliRates(), bias=-1.0)
+    for name in ("omega", "beta", "dt", "bias"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=name):
+                ScenarioConfig(hardware="analog", device=PauliRates(), **{name: bad})
 
 
 # --- mitigation coefficients per scenario ---
@@ -365,3 +369,18 @@ def test_simulate_fills_mc_columns():
     ts2, stats2 = simulate(replace(cfg, samples=0))
     assert stats2 is None
     assert np.isnan(ts2.mc_mean).all()
+
+
+def test_simulate_builds_one_plan_per_series(monkeypatch):
+    # the ideal evolution and the ensemble share one step plan
+    import pecstep.scenarios as scenarios
+
+    plans = []
+
+    def counting_build(cfg):
+        plans.append(build_scenario(cfg))
+        return plans[-1]
+
+    monkeypatch.setattr(scenarios, "build_scenario", counting_build)
+    simulate(replace(PRESETS["fig1a"].series[0][1], samples=100, steps=3))
+    assert len(plans) == 1
