@@ -37,7 +37,7 @@ from .channels import PauliChannelParams
 from .generators import PauliRates
 from .presets import PRESETS, preset, with_overrides
 from .sampling import default_workers
-from .scenarios import ScenarioConfig, TimeSeries, diagnostics, simulate
+from .scenarios import ScenarioConfig, TimeSeries, diagnostics, resolve_reference, simulate
 
 CSV_HEADER = "step,t,ideal,reference,mc_mean,mc_stderr,fidelity"
 
@@ -165,7 +165,21 @@ def _fmt(x: float) -> str:
     return "" if x is None or np.isnan(x) else format(float(x), ".12g")
 
 
-def write_csv(path, series: TimeSeries) -> None:
+def write_csv(path, series: TimeSeries, cfg: ScenarioConfig) -> None:
+    """Write the series.  Raises ValueError on NaN in a column `cfg`
+    defines: NaN prints as an empty field, which means "not applicable"."""
+    defined = ("ideal", "fidelity")
+    if resolve_reference(cfg) is not None:
+        defined += ("reference",)
+    if cfg.samples > 0:
+        defined += ("mc_mean", "mc_stderr")
+    for name in defined:
+        bad = np.flatnonzero(np.isnan(getattr(series, name)))
+        if bad.size:
+            raise ValueError(
+                f"{name}: NaN at step {int(series.step[bad[0]])} "
+                f"({bad.size} of {series.step.size} steps); no CSV written to {path}"
+            )
     lines = [CSV_HEADER]
     for i in range(series.step.size):
         lines.append(
@@ -214,7 +228,7 @@ def _run_series(named_configs, out_dir: Path, stem: str, want_svg: bool, workers
         series, _ = simulate(cfg, workers=workers)
         base = stem if not name else f"{stem}_{name}"
         csv_path = out_dir / f"{base}.csv"
-        write_csv(csv_path, series)
+        write_csv(csv_path, series, cfg)
         outputs.append(csv_path.name)
         if want_svg:
             svg_path = out_dir / f"{base}.svg"

@@ -20,7 +20,7 @@ spawn_key=(c,)) and trajectory i uses row i % CHUNK of that block's uniform
 draws.  Results therefore depend only on (seed, samples), never on the
 worker count.  run_trajectory(plan, seed, i) replays exactly the branch
 sequence of ensemble trajectory i (states agree to floating rounding, the
-weights exactly).
+weights exactly), drawing only row i of the block.
 """
 
 import os
@@ -74,13 +74,12 @@ def pauli_to_density(r: np.ndarray) -> np.ndarray:
 class StepPlan:
     """One experiment step, repeated `steps` times from vec(rho0).
 
-    `parts` holds the physical superoperators in application order (unitary
-    then noise channel for digital hardware, the single combined exponential
-    for analog); `deterministic` is their product.  `mitigation` is the
-    infinite-sample matrix of the sampled mitigation step.
+    `deterministic` is the physical step superoperator (unitary layer then
+    noise channel for digital hardware, one combined exponential for
+    analog).  `mitigation` is the infinite-sample matrix of the sampled
+    mitigation step.
     """
 
-    parts: tuple[np.ndarray, ...]
     deterministic: np.ndarray
     mitigation: np.ndarray
     distribution: SamplingDistribution
@@ -124,7 +123,8 @@ def _branch_tables(dist: SamplingDistribution):
     return np.cumsum(dist.mu_tuple()), np.array(dist.signs + (1,), dtype=float)
 
 
-def _pauli_coords(vec: np.ndarray) -> np.ndarray:
+def pauli_coords(vec: np.ndarray) -> np.ndarray:
+    """Pauli coordinates (trace, x, y, z) of a column-stacked 2x2 matrix."""
     return (_BASIS_INV @ vec).real
 
 
@@ -142,22 +142,38 @@ def _rotate(rot: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _philox(seed: int, chunk: int) -> np.random.Philox:
+    return np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
+
+
 def _chunk_uniforms(seed: int, chunk: int, rows: int, steps: int) -> np.ndarray:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk,))
-    return np.random.Generator(np.random.Philox(ss)).random((rows, steps))
+    return np.random.Generator(_philox(seed, chunk)).random((rows, steps))
+
+
+def _row_uniforms(seed: int, index: int, steps: int) -> np.ndarray:
+    """Row `index % CHUNK` of its chunk's uniform block, drawn alone.
+
+    The block is filled row-major, one 64-bit Philox output per double, and
+    one Philox counter step yields four outputs: skip whole counter steps
+    with advance() and discard the remainder.
+    """
+    chunk, row = divmod(index, CHUNK)
+    skip, rest = divmod(row * steps, 4)
+    bitgen = _philox(seed, chunk)
+    bitgen.advance(skip)
+    return np.random.Generator(bitgen).random(rest + steps)[rest:]
 
 
 def run_trajectory(plan: StepPlan, seed: int, index: int = 0) -> TrajectoryResult:
     """Simulate the single trajectory `index` of the ensemble (seed, ...)."""
-    chunk, row = divmod(index, CHUNK)
-    u = _chunk_uniforms(seed, chunk, row + 1, plan.steps)[row]
+    u = _row_uniforms(seed, index, plan.steps)
     cum, sign = _branch_tables(plan.distribution)
     branches = np.searchsorted(cum, u, side="right")
     # one real map per branch: the Pauli diagonal after the deterministic step
     step_maps = BRANCH_DIAG[:, :, None] * pauli_transfer(plan.deterministic)
 
     r = np.empty((plan.steps + 1, 4))
-    r[0] = _pauli_coords(plan.rho0)
+    r[0] = pauli_coords(plan.rho0)
     for s, b in enumerate(branches):
         r[s + 1] = step_maps[b] @ r[s]
     weights = np.empty(plan.steps + 1)
@@ -182,7 +198,7 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int):
     rot = pauli_transfer(plan.deterministic)
 
     v = np.empty((4, rows))
-    v[...] = _pauli_coords(plan.rho0)[:, None]
+    v[...] = pauli_coords(plan.rho0)[:, None]
     rotated = np.empty_like(v)
     s1 = np.zeros(steps + 1)
     m2 = np.zeros(steps + 1)
@@ -285,7 +301,7 @@ def exhaustive_expectation(plan: StepPlan, steps: int | None = None) -> Exhausti
     live = [b for b in range(4) if probs[b] > 0.0]
     rot = pauli_transfer(plan.deterministic)
 
-    v = _pauli_coords(plan.rho0)[:, None]  # one column per branch sequence
+    v = pauli_coords(plan.rho0)[:, None]  # one column per branch sequence
     pw = np.ones(1)  # probability times weight sign of each sequence
     mean = np.empty(steps + 1)
     weight_mean = np.empty(steps + 1)

@@ -22,9 +22,10 @@ from .channels import MitigationCoeffs, PauliChannelParams
 from .generators import (
     Generator,
     PauliRates,
+    check_density_matrix,
     combine,
     commutator_norm,
-    exact_propagate,
+    exact_propagate,  # noqa: F401  (kept importable as pecstep.scenarios.exact_propagate)
     hamiltonian,
     pauli_dissipator,
     unitary_generator,
@@ -173,15 +174,13 @@ def mitigation_coeffs(cfg: ScenarioConfig) -> MitigationCoeffs:
 def build_scenario(cfg: ScenarioConfig) -> sampling.StepPlan:
     gens = _dynamics_generators(cfg)
     if cfg.hardware == "digital":
+        # unitary layer, then the noise channel
         u = expm(gens["unitary"].matrix * cfg.dt)
-        noise = channels.channel_superop(cfg.device)
-        parts = (u, noise)
-        deterministic = noise @ u
+        deterministic = channels.channel_superop(cfg.device) @ u
     else:
+        # one exponential: the noise acts during the Hamiltonian evolution
         device = pauli_dissipator(cfg.device, kind="device-noise")
-        step = combine(gens["unitary"], device)
-        deterministic = expm(step.matrix * cfg.dt)
-        parts = (deterministic,)
+        deterministic = expm(combine(gens["unitary"], device).matrix * cfg.dt)
 
     q = mitigation_coeffs(cfg)
     dist = channels.sampling_distribution(q, bias=1.0 if cfg.bias is None else cfg.bias)
@@ -190,7 +189,6 @@ def build_scenario(cfg: ScenarioConfig) -> sampling.StepPlan:
     else:
         mitigation = channels.expected_superop(dist)
     return sampling.StepPlan(
-        parts=parts,
         deterministic=deterministic,
         mitigation=mitigation,
         distribution=dist,
@@ -209,10 +207,6 @@ def fidelity(r1: np.ndarray, r2: np.ndarray) -> float:
     d1 = max(np.linalg.det(r1).real, 0.0)
     d2 = max(np.linalg.det(r2).real, 0.0)
     return float(overlap + 2.0 * math.sqrt(d1 * d2))
-
-
-def _negativity(rho: np.ndarray) -> float:
-    return float(max(0.0, -np.linalg.det(rho).real))
 
 
 def reference_value(
@@ -345,46 +339,61 @@ def _reference_params(cfg: ScenarioConfig, kind: str) -> dict:
     raise ValueError(f"unknown reference kind {kind!r}")
 
 
+def _orbit(rot: np.ndarray, r0: np.ndarray, steps: int) -> np.ndarray:
+    """Pauli coordinates rot^n r0 for n = 0..steps, one row per step."""
+    r = np.empty((steps + 1, 4))
+    r[0] = r0
+    for n in range(steps):
+        r[n + 1] = rot @ r[n]
+    return r
+
+
+def _det(r: np.ndarray) -> np.ndarray:
+    """det rho = (t^2 - x^2 - y^2 - z^2) / 4 per row of Pauli coordinates."""
+    t, x, y, z = r.T
+    return 0.25 * (t * t - x * x - y * y - z * z)
+
+
 def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) -> TimeSeries:
     """Infinite-sample evolution: the mitigation map applied as a matrix.
 
     Also evolves the exact target dynamics exp((L_h + L_d) t) and records
-    the fidelity of the mitigated state against it per step.  `plan` is
-    build_scenario(cfg), built here when not given.
+    the fidelity of the mitigated state against it per step.  Both are
+    stepped in Pauli coordinates (trace, x, y, z) by one real 4x4 transfer
+    matrix each per series: the mitigated step M C, and exp((L_h + L_d) dt)
+    for the target.  `plan` is build_scenario(cfg), built here when not
+    given.
     """
     if plan is None:
         plan = build_scenario(cfg)
+    check_density_matrix(devectorize(plan.rho0))
     gens = _dynamics_generators(cfg)
-    exact_gen = combine(gens["unitary"], gens["target"])
-    rho0 = devectorize(plan.rho0)
+    exact_step = expm(combine(gens["unitary"], gens["target"]).matrix * cfg.dt)
+    r0 = sampling.pauli_coords(plan.rho0)
+    r = _orbit(sampling.pauli_transfer(plan.mitigation @ plan.deterministic), r0, cfg.steps)
+    e = _orbit(sampling.pauli_transfer(exact_step), r0, cfg.steps)
 
-    ref = resolve_reference(cfg)
-    step_map = plan.mitigation @ plan.deterministic
+    # qubit fidelity Tr(rho sigma) + 2 sqrt(det rho det sigma), with
+    # Tr(rho sigma) = (t1 t2 + x1 x2 + y1 y2 + z1 z2) / 2; see fidelity()
+    det_r, det_e = _det(r), _det(e)
+    overlap = 0.5 * (r * e).sum(axis=1)
+    fid = overlap + 2.0 * np.sqrt(np.maximum(det_r, 0.0) * np.maximum(det_e, 0.0))
 
     n_rows = cfg.steps + 1
-    out = {
-        "step": np.arange(n_rows),
-        "t": np.arange(n_rows) * cfg.dt,
-        "ideal": np.empty(n_rows),
-        "reference": np.full(n_rows, np.nan),
-        "mc_mean": np.full(n_rows, np.nan),
-        "mc_stderr": np.full(n_rows, np.nan),
-        "fidelity": np.empty(n_rows),
-        "negativity": np.empty(n_rows),
-    }
-
-    v = plan.rho0.copy()
-    for n in range(n_rows):
-        rho = devectorize(v)
-        exact = exact_propagate(exact_gen, rho0, n * cfg.dt)
-        out["ideal"][n] = rho[0, 0].real
-        out["fidelity"][n] = fidelity(rho, exact)
-        out["negativity"][n] = _negativity(rho)
-        if ref is not None:
-            out["reference"][n] = reference_value(ref[0], n, **ref[1])
-        if n < cfg.steps:
-            v = step_map @ v
-    return TimeSeries(**out)
+    reference = np.full(n_rows, np.nan)
+    ref = resolve_reference(cfg)
+    if ref is not None:
+        reference[:] = [reference_value(ref[0], n, **ref[1]) for n in range(n_rows)]
+    return TimeSeries(
+        step=np.arange(n_rows),
+        t=np.arange(n_rows) * cfg.dt,
+        ideal=0.5 * (r[:, 0] + r[:, 3]),
+        reference=reference,
+        mc_mean=np.full(n_rows, np.nan),
+        mc_stderr=np.full(n_rows, np.nan),
+        fidelity=fid,
+        negativity=np.maximum(0.0, -det_r),
+    )
 
 
 def simulate(

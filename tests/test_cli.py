@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from pecstep import cli
 from pecstep.cli import (
     CSV_HEADER,
     ConfigError,
@@ -221,3 +224,39 @@ def test_non_finite_config_value_exits_naming_key(tmp_path, capsys, hardware, ke
     assert main(["run", "--config", str(cfg), "--output", str(tmp_path)]) == 2
     assert f"{key}:" in capsys.readouterr().err
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "column, extra, samples, code",
+    [
+        ("ideal", "", "0", 2),
+        ("fidelity", "", "0", 2),
+        ("reference", "", "0", 2),  # auto picks unmitigated-digital
+        ("mc_mean", "", "64", 2),
+        ("mc_stderr", "", "64", 2),
+        ("reference", "reference = none\n", "0", 0),
+        ("mc_mean", "", "0", 0),
+    ],
+)
+def test_csv_writer_refuses_nan_in_defined_column(
+    tmp_path, capsys, monkeypatch, column, extra, samples, code
+):
+    simulate = cli.simulate
+
+    def simulate_with_nan(cfg, workers=None):
+        series, stats = simulate(cfg, workers=workers)
+        values = getattr(series, column).copy()
+        values[2] = np.nan
+        return replace(series, **{column: values}), stats
+
+    monkeypatch.setattr(cli, "simulate", simulate_with_nan)
+    cfg = _write(tmp_path, "unmit.cfg", UNMITIGATED_CFG + extra + "steps = 4\n")
+    args = ["run", "--config", str(cfg), "--samples", samples, "--output", str(tmp_path)]
+    assert main(args) == code
+    csv = tmp_path / "unmit.csv"
+    if code == 2:
+        assert f"{column}: NaN at step 2" in capsys.readouterr().err
+        assert not csv.exists()
+    else:
+        row = csv.read_text().splitlines()[3].split(",")
+        assert row[0] == "2" and row[CSV_HEADER.split(",").index(column)] == ""

@@ -130,6 +130,18 @@ def test_trajectory_matches_ensemble_row():
     assert np.allclose(stats.mean, traj.observable(), atol=1e-12)
 
 
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, 7, 20])
+def test_replay_draws_its_row_of_the_chunk_block(steps):
+    # the skip-ahead must land on every row offset mod 4 and in later chunks
+    block = sampling._chunk_uniforms(5, 0, 4096, steps)
+    for row in list(range(9)) + list(range(97, 4096, 97)) + [4095]:
+        assert np.array_equal(sampling._row_uniforms(5, row, steps), block[row])
+    block = sampling._chunk_uniforms(5, 1, 1236, steps)
+    for row in (0, 1, 2, 3, 1235):
+        index = sampling.CHUNK + row
+        assert np.array_equal(sampling._row_uniforms(5, index, steps), block[row])
+
+
 def test_ensemble_moments_match_replayed_trajectories(monkeypatch):
     # 20 samples over chunks of 7 rows: the chunk merge, the sign folding
     # and the late gamma^n must reproduce the plain per-trajectory moments

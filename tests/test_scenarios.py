@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pecstep.channels import PauliChannelParams
-from pecstep.generators import PauliRates
-from pecstep.linalg import max_abs_diff
+from pecstep.channels import PauliChannelParams, channel_superop
+from pecstep.generators import PauliRates, hamiltonian, pauli_dissipator, unitary_generator
+from pecstep.linalg import expm, max_abs_diff
 from pecstep.presets import PRESETS
 from pecstep.scenarios import (
     ScenarioConfig,
@@ -296,12 +296,17 @@ def test_no_trotter_error_when_rate_mismatch_is_depolarizing():
 
 
 def test_step_plan_structure():
-    plan = build_scenario(replace(PRESETS["fig1a"].series[0][1], samples=0))
-    assert len(plan.parts) == 2  # unitary layer, then the noise channel
-    assert max_abs_diff(plan.deterministic, plan.parts[1] @ plan.parts[0]) == 0.0
-    plan = build_scenario(replace(PRESETS["fig2a"].series[0][1], samples=0))
-    assert len(plan.parts) == 1  # one simultaneous exponential
-    assert max_abs_diff(plan.deterministic, plan.parts[0]) == 0.0
+    cfg = replace(PRESETS["fig1a"].series[0][1], samples=0)
+    l_u = unitary_generator(hamiltonian(cfg.omega, cfg.beta)).matrix
+    # digital: the unitary layer, then the noise channel
+    expected = channel_superop(cfg.device) @ expm(l_u * cfg.dt)
+    assert max_abs_diff(build_scenario(cfg).deterministic, expected) == 0.0
+    cfg = replace(PRESETS["fig2a"].series[0][1], samples=0)
+    l_u = unitary_generator(hamiltonian(cfg.omega, cfg.beta)).matrix
+    # analog: one simultaneous exponential
+    l_device = pauli_dissipator(cfg.device, kind="device-noise").matrix
+    expected = expm((l_u + l_device) * cfg.dt)
+    assert max_abs_diff(build_scenario(cfg).deterministic, expected) == 0.0
 
 
 def test_open_digital_fidelity_by_beta():
