@@ -1,9 +1,10 @@
 """Pauli-diagonal maps: noise channels, their inverses, and every mitigation
 coefficient set used by the simulation scenarios.
 
-Every map q0*I + q1*XX + q2*Y*Y + q3*ZZ is diagonal in the Bloch basis: the
-identity component is fixed at 1 (trace preservation) and the X/Y/Z
-components are scaled by the transfer eigenvalues
+Every map q0*I + q1*XX + q2*YY + q3*ZZ (P P meaning rho -> P rho P) is
+diagonal in the Pauli-transfer basis (trace, x, y, z): the trace component
+is fixed at 1 (trace preservation) and the X/Y/Z components are scaled by
+the transfer eigenvalues
 
     ex = q0 + q1 - q2 - q3   (cyclic).
 
@@ -18,16 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import PauliRates
-from .linalg import PAULIS, kron
 
 COEFF_SUM_TOL = 1e-12
 
-# Conjugation superoperators P* kron P for P = X, Y, Z (all real).
-PAULI_CONJUGATIONS = tuple(kron(p.conj(), p).real for p in PAULIS)
-for _m in PAULI_CONJUGATIONS:
-    _m.setflags(write=False)
-
-_I4 = np.eye(4)
+# Pauli-transfer diagonals of rho -> P rho P in branch order 0=X, 1=Y, 2=Z,
+# 3=identity: conjugating by a Pauli keeps the trace and that Pauli's own
+# axis and flips the other two.
+BRANCH_DIAG = np.array(
+    [[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]
+)
+BRANCH_DIAG.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -131,20 +132,13 @@ def coeffs_to_transfer(q: MitigationCoeffs) -> TransferEigenvalues:
 
 
 def coeffs_to_superop(q: MitigationCoeffs) -> np.ndarray:
-    """The (real) 4x4 matrix q0*I + q1*XX + q2*Y*Y + q3*ZZ."""
-    out = q.q0 * _I4.copy()
-    for qi, conj in zip((q.q1, q.q2, q.q3), PAULI_CONJUGATIONS):
-        out += qi * conj
-    return out
+    """Pauli-transfer matrix of q0*I + q1*XX + q2*YY + q3*ZZ: diag(1, ex, ey, ez)."""
+    return np.diag((1.0,) + coeffs_to_transfer(q).as_tuple())
 
 
 def channel_superop(p: PauliChannelParams) -> np.ndarray:
-    """Superoperator of the Pauli channel with flip probabilities p."""
-    lx, ly, lz = p.as_tuple()
-    out = (1.0 - lx - ly - lz) * _I4.copy()
-    for li, conj in zip((lx, ly, lz), PAULI_CONJUGATIONS):
-        out += li * conj
-    return out
+    """Pauli-transfer matrix of the Pauli channel with flip probabilities p."""
+    return np.diag((1.0,) + lambda_to_transfer(p).as_tuple())
 
 
 def exact_inverse_coeffs(p: PauliChannelParams) -> MitigationCoeffs:
@@ -289,10 +283,9 @@ def expected_superop(d: SamplingDistribution) -> np.ndarray:
 
     Equals coeffs_to_superop of the originating coefficients when the
     distribution is unbiased; with bias it is the deformed (generally
-    trace-changing) map actually implemented.
+    trace-changing) map actually implemented: its trace entry is the
+    expected weight of one step.
     """
-    g = d.prefactor
-    out = g * (1.0 - d.mu1 - d.mu2 - d.mu3) * _I4.copy()
-    for mu, sign, conj in zip(d.mu_tuple(), d.signs, PAULI_CONJUGATIONS):
-        out += g * sign * mu * conj
-    return out
+    probs = np.array(d.mu_tuple() + (1.0 - d.mu1 - d.mu2 - d.mu3,))
+    signs = np.array(d.signs + (1,))
+    return np.diag(d.prefactor * (probs * signs) @ BRANCH_DIAG)

@@ -1,8 +1,10 @@
-"""Lindblad generators in vectorized (superoperator) form.
+"""Lindblad generators as real 4x4 Pauli-transfer matrices.
 
-The Hamiltonian part acts as -i[H, rho]; each Pauli dissipator with rate g
-acts as g(P rho P - rho).  Both become 4x4 matrices on the column-stacked
-state.
+On the Pauli coordinates (trace, x, y, z) of a state, the Hamiltonian part
+-i[H, rho] with H = h . sigma rotates the Bloch vector, dr/dt = 2 h x r,
+and each Pauli dissipator g(P rho P - rho) damps the two Bloch components
+that anticommute with P at rate 2g.  The trace row of every generator is
+zero.
 """
 
 import math
@@ -10,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, PAULIS, devectorize, expm, frobenius_norm, kron, vectorize
+from .linalg import PAULIS, expm, frobenius_norm, pauli_coords, pauli_to_density
 
 GENERATOR_KINDS = ("hamiltonian", "target-noise", "device-noise", "combined")
-
-_I4 = np.eye(4, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -65,20 +65,21 @@ def hamiltonian(omega: float, beta: float) -> Hamiltonian:
 
 
 def unitary_generator(h: Hamiltonian) -> Generator:
-    """Superoperator of rho -> -i[H, rho]: -i(I kron H - H^T kron I)."""
-    m = -1j * (kron(I2, h.matrix) - kron(h.matrix.T, I2))
+    """Generator of rho -> -i[H, rho]: rotation of the Bloch vector about
+    the axis (sin beta, -cos beta, 0) at angular rate 2 omega."""
+    hx, hy = h.omega * np.sin(h.beta), -h.omega * np.cos(h.beta)
+    m = np.zeros((4, 4))
+    m[1, 3], m[3, 1] = 2.0 * hy, -2.0 * hy
+    m[3, 2], m[2, 3] = 2.0 * hx, -2.0 * hx
     m.setflags(write=False)
     return Generator(matrix=m, kind="hamiltonian")
 
 
 def pauli_dissipator(rates: PauliRates, kind: str = "target-noise") -> Generator:
-    """Superoperator sum_k g_k (P_k* kron P_k - I kron I).
-
-    The Y term is real since Y* = -Y.
-    """
-    m = np.zeros((4, 4), dtype=complex)
-    for g, p in zip(rates.as_tuple(), PAULIS):
-        m += g * (kron(p.conj(), p) - _I4)
+    """Generator of rho -> sum_k g_k (P_k rho P_k - rho):
+    diag(0, -2(gy + gz), -2(gx + gz), -2(gx + gy))."""
+    gx, gy, gz = rates.as_tuple()
+    m = np.diag([0.0, -2.0 * (gy + gz), -2.0 * (gx + gz), -2.0 * (gx + gy)])
     m.setflags(write=False)
     return Generator(matrix=m, kind=kind)
 
@@ -93,7 +94,7 @@ def combine(a: Generator, b: Generator) -> Generator:
 
 
 def _as_matrix(g) -> np.ndarray:
-    return g.matrix if isinstance(g, Generator) else np.asarray(g, dtype=complex)
+    return g.matrix if isinstance(g, Generator) else np.asarray(g)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -125,4 +126,4 @@ def exact_propagate(g: Generator, rho0: np.ndarray, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError(f"propagation time must be >= 0, got {t}")
     check_density_matrix(rho0)
-    return devectorize(expm(_as_matrix(g) * t) @ vectorize(rho0))
+    return pauli_to_density(expm(_as_matrix(g) * t) @ pauli_coords(rho0))

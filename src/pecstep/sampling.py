@@ -3,10 +3,9 @@
 A step is the plan's deterministic map followed by one Pauli drawn from
 the plan's sampling distribution: X, Y or Z with probability mu_i and
 signed weight signs[i] * gamma, identity otherwise with weight +gamma.
-Every kernel here works in the real Pauli-transfer basis, where a state is
-its coordinates (trace, x, y, z) = Tr(P rho) for P = I, X, Y, Z, the
-deterministic map is a real 4x4 matrix R and a Pauli branch is a +-1
-diagonal (BRANCH_DIAG).
+A plan is in the real Pauli-transfer basis: a state is its coordinates
+(trace, x, y, z) = Tr(P rho) for P = I, X, Y, Z, the deterministic map is
+a real 4x4 matrix R and a Pauli branch is a +-1 diagonal (BRANCH_DIAG).
 
 A trajectory's weight always has magnitude gamma^n; only its sign is
 random.  The ensemble therefore folds the branch sign into the state (the
@@ -29,62 +28,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import SamplingDistribution
-from .linalg import I2, PAULIS, vectorize
+from .channels import BRANCH_DIAG, SamplingDistribution
+from .linalg import pauli_to_density
 
 CHUNK = 1 << 16
 
-# Columns vec(P)/2 for P = I, X, Y, Z, so vec(rho) = _BASIS @ r for the
-# Pauli coordinates r = Tr(P rho); the columns are orthogonal with norm^2
-# 1/2, hence the inverse 2 * _BASIS^dagger.
-_BASIS = np.stack([vectorize(p) for p in (I2,) + PAULIS], axis=1) / 2.0
-_BASIS_INV = 2.0 * _BASIS.conj().T
-
-# Branch order: 0=X, 1=Y, 2=Z, 3=identity.  Conjugating by a Pauli keeps
-# the trace and that Pauli's own axis and flips the other two.
-BRANCH_DIAG = np.array(
-    [[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]
-)
-
-for _m in (_BASIS, _BASIS_INV, BRANCH_DIAG):
-    _m.setflags(write=False)
-
-VEC_RHO0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)  # |1><1| column-stacked
-VEC_RHO0.setflags(write=False)
-
-
-def pauli_transfer(superop: np.ndarray) -> np.ndarray:
-    """Real 4x4 Pauli-transfer matrix B^-1 S B of a Hermiticity-preserving
-    column-stacked superoperator S (its imaginary part is rounding only)."""
-    return (_BASIS_INV @ superop @ _BASIS).real
-
-
-def pauli_to_density(r: np.ndarray) -> np.ndarray:
-    """2x2 density matrices (..., 2, 2) from Pauli coordinates (..., 4)."""
-    t, x, y, z = np.moveaxis(np.asarray(r, dtype=float), -1, 0)
-    rho = np.empty(t.shape + (2, 2), dtype=complex)
-    rho[..., 0, 0] = 0.5 * (t + z)
-    rho[..., 0, 1] = 0.5 * (x - 1j * y)
-    rho[..., 1, 0] = 0.5 * (x + 1j * y)
-    rho[..., 1, 1] = 0.5 * (t - z)
-    return rho
+RHO0 = np.array([1.0, 0.0, 0.0, 1.0])  # |1><1| in Pauli coordinates
+RHO0.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
 class StepPlan:
-    """One experiment step, repeated `steps` times from vec(rho0).
+    """One experiment step, repeated `steps` times from the Pauli
+    coordinates rho0.
 
-    `deterministic` is the physical step superoperator (unitary layer then
-    noise channel for digital hardware, one combined exponential for
-    analog).  `mitigation` is the infinite-sample matrix of the sampled
-    mitigation step.
+    `deterministic` is the physical step's Pauli-transfer matrix (unitary
+    layer then noise channel for digital hardware, one combined exponential
+    for analog).  `mitigation` is the infinite-sample Pauli-transfer matrix
+    of the sampled mitigation step.
     """
 
     deterministic: np.ndarray
     mitigation: np.ndarray
     distribution: SamplingDistribution
     steps: int
-    rho0: np.ndarray = field(default_factory=lambda: VEC_RHO0)
+    rho0: np.ndarray = field(default_factory=lambda: RHO0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,11 +89,6 @@ def _branch_tables(dist: SamplingDistribution):
     """Cumulative X/Y/Z probabilities and the weight sign of each branch,
     in branch order; a branch's weight is sign * gamma."""
     return np.cumsum(dist.mu_tuple()), np.array(dist.signs + (1,), dtype=float)
-
-
-def pauli_coords(vec: np.ndarray) -> np.ndarray:
-    """Pauli coordinates (trace, x, y, z) of a column-stacked 2x2 matrix."""
-    return (_BASIS_INV @ vec).real
 
 
 def _rotate(rot: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -170,10 +133,10 @@ def run_trajectory(plan: StepPlan, seed: int, index: int = 0) -> TrajectoryResul
     cum, sign = _branch_tables(plan.distribution)
     branches = np.searchsorted(cum, u, side="right")
     # one real map per branch: the Pauli diagonal after the deterministic step
-    step_maps = BRANCH_DIAG[:, :, None] * pauli_transfer(plan.deterministic)
+    step_maps = BRANCH_DIAG[:, :, None] * plan.deterministic
 
     r = np.empty((plan.steps + 1, 4))
-    r[0] = pauli_coords(plan.rho0)
+    r[0] = plan.rho0
     for s, b in enumerate(branches):
         r[s + 1] = step_maps[b] @ r[s]
     weights = np.empty(plan.steps + 1)
@@ -195,10 +158,9 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int):
     u = _chunk_uniforms(seed, chunk, rows, steps)
     cum, sign = _branch_tables(plan.distribution)
     fold = np.ascontiguousarray((sign[:, None] * BRANCH_DIAG).T)  # (component, branch)
-    rot = pauli_transfer(plan.deterministic)
 
     v = np.empty((4, rows))
-    v[...] = pauli_coords(plan.rho0)[:, None]
+    v[...] = plan.rho0[:, None]
     rotated = np.empty_like(v)
     s1 = np.zeros(steps + 1)
     m2 = np.zeros(steps + 1)
@@ -213,7 +175,7 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int):
 
     record(0)
     for s in range(steps):
-        _rotate(rot, v, rotated)
+        _rotate(plan.deterministic, v, rotated)
         b = np.searchsorted(cum, u[:, s], side="right")
         for k, component_signs in enumerate(fold):
             np.multiply(rotated[k], component_signs[b], out=v[k])
@@ -299,9 +261,8 @@ def exhaustive_expectation(plan: StepPlan, steps: int | None = None) -> Exhausti
     cum, sign = _branch_tables(dist)
     probs = np.array([dist.mu1, dist.mu2, dist.mu3, 1.0 - cum[-1]])
     live = [b for b in range(4) if probs[b] > 0.0]
-    rot = pauli_transfer(plan.deterministic)
 
-    v = pauli_coords(plan.rho0)[:, None]  # one column per branch sequence
+    v = plan.rho0[:, None]  # one column per branch sequence
     pw = np.ones(1)  # probability times weight sign of each sequence
     mean = np.empty(steps + 1)
     weight_mean = np.empty(steps + 1)
@@ -315,7 +276,7 @@ def exhaustive_expectation(plan: StepPlan, steps: int | None = None) -> Exhausti
 
     record(0)
     for s in range(steps):
-        v = _rotate(rot, v, np.empty_like(v))
+        v = _rotate(plan.deterministic, v, np.empty_like(v))
         v = np.concatenate([v * BRANCH_DIAG[b][:, None] for b in live], axis=1)
         pw = np.concatenate([pw * (probs[b] * sign[b]) for b in live])
         record(s + 1)

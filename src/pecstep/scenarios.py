@@ -30,7 +30,7 @@ from .generators import (
     pauli_dissipator,
     unitary_generator,
 )
-from .linalg import devectorize, expm, frobenius_norm
+from .linalg import expm, frobenius_norm, pauli_to_density
 
 HARDWARE = ("digital", "analog")
 MITIGATIONS = ("exact", "first-order", "linear-inverse", "none")
@@ -366,12 +366,11 @@ def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) 
     """
     if plan is None:
         plan = build_scenario(cfg)
-    check_density_matrix(devectorize(plan.rho0))
+    check_density_matrix(pauli_to_density(plan.rho0))
     gens = _dynamics_generators(cfg)
     exact_step = expm(combine(gens["unitary"], gens["target"]).matrix * cfg.dt)
-    r0 = sampling.pauli_coords(plan.rho0)
-    r = _orbit(sampling.pauli_transfer(plan.mitigation @ plan.deterministic), r0, cfg.steps)
-    e = _orbit(sampling.pauli_transfer(exact_step), r0, cfg.steps)
+    r = _orbit(plan.mitigation @ plan.deterministic, plan.rho0, cfg.steps)
+    e = _orbit(exact_step, plan.rho0, cfg.steps)
 
     # qubit fidelity Tr(rho sigma) + 2 sqrt(det rho det sigma), with
     # Tr(rho sigma) = (t1 t2 + x1 x2 + y1 y2 + z1 z2) / 2; see fidelity()

@@ -1,6 +1,61 @@
 import numpy as np
 import pytest
 
+# Independent complex reference for the library's real Pauli-transfer maps:
+# column-stacked 4x4 superoperators built from Kronecker products, with
+# vec(rho)[2j + i] = rho[i, j], so that vec(A rho B) = (B^T kron A) vec(rho).
+I2 = np.eye(2, dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def vec(rho):
+    return np.asarray(rho, dtype=complex).flatten(order="F")
+
+
+def unvec(v):
+    return np.asarray(v).reshape((2, 2), order="F")
+
+
+def conjugation(p):
+    """Superoperator of rho -> P rho P^dagger."""
+    return np.kron(p.conj(), p)
+
+
+def lindbladian(omega=0.0, beta=0.0, rates=(0.0, 0.0, 0.0)):
+    """-i[H, .] + sum_k g_k (P_k . P_k - .) for H = omega (sin b X - cos b Y)."""
+    h = omega * (np.sin(beta) * X - np.cos(beta) * Y)
+    m = -1j * (np.kron(I2, h) - np.kron(h.T, I2))
+    for g, p in zip(rates, (X, Y, Z)):
+        m = m + g * (conjugation(p) - np.eye(4))
+    return m
+
+
+def pauli_channel(probs):
+    """Superoperator of rho -> (1 - sum l) rho + sum_k l_k P_k rho P_k."""
+    m = (1.0 - sum(probs)) * np.eye(4, dtype=complex)
+    for l, p in zip(probs, (X, Y, Z)):
+        m = m + l * conjugation(p)
+    return m
+
+
+# Columns vec(P)/2 for P = I, X, Y, Z: vec(rho) = BASIS @ r for the Pauli
+# coordinates r = Tr(P rho).  The columns are orthogonal with norm^2 1/2,
+# hence the inverse 2 BASIS^dagger.
+BASIS = np.stack([vec(p) for p in (I2, X, Y, Z)], axis=1) / 2.0
+BASIS_INV = 2.0 * BASIS.conj().T
+
+
+def to_pauli_transfer(s):
+    """B^-1 S B, complex, so that a test also sees a stray imaginary part."""
+    return BASIS_INV @ s @ BASIS
+
+
+def to_column_stacked(r):
+    """B R B^-1 of a Pauli-transfer matrix R."""
+    return BASIS @ r @ BASIS_INV
+
 
 @pytest.fixture
 def rng():
@@ -16,10 +71,7 @@ def random_density(rng):
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     r = rng.uniform(0.0, 1.0) * direction
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    return 0.5 * (np.eye(2, dtype=complex) + r[0] * x + r[1] * y + r[2] * z)
+    return 0.5 * (I2 + r[0] * X + r[1] * Y + r[2] * Z)
 
 
 def taylor_expm(a, order=40):

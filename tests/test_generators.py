@@ -13,12 +13,24 @@ from pecstep.generators import (
     pauli_dissipator,
     unitary_generator,
 )
-from pecstep.linalg import X, Y, Z, devectorize, expm, max_abs_diff, vectorize
+from pecstep.channels import (
+    MitigationCoeffs,
+    PauliChannelParams,
+    channel_superop,
+    coeffs_to_superop,
+)
+from pecstep.linalg import X, Y, Z, expm, max_abs_diff, pauli_coords
 
-from conftest import random_complex, random_density
+from conftest import (
+    lindbladian,
+    pauli_channel,
+    random_complex,
+    random_density,
+    to_pauli_transfer,
+)
 
 RHO_EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-TRACE_ROW = np.array([1.0, 0.0, 0.0, 1.0])  # Tr(devectorize(v)) = v0 + v3
+TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])  # Tr(rho) is the first Pauli coordinate
 
 
 def test_hamiltonian_beta_half_pi_is_x():
@@ -59,9 +71,31 @@ def test_unitary_generator_matches_commutator(rng):
     g = unitary_generator(h)
     for _ in range(10):
         rho = random_complex(rng, (2, 2))
-        lhs = devectorize(g.matrix @ vectorize(rho))
-        rhs = -1j * (h.matrix @ rho - rho @ h.matrix)
+        rho = rho + rho.conj().T
+        lhs = g.matrix @ pauli_coords(rho)
+        rhs = pauli_coords(-1j * (h.matrix @ rho - rho @ h.matrix))
         assert max_abs_diff(lhs, rhs) < 1e-13
+
+
+def test_real_maps_match_column_stacked_reference(rng):
+    # B^-1 S B of the kron-built superoperators against the library's real
+    # Pauli-transfer matrices
+    for _ in range(20):
+        omega, beta = rng.uniform(0.0, 5.0), rng.uniform(-np.pi, np.pi)
+        rates = PauliRates(*rng.uniform(0.0, 1.0, 3))
+        g = unitary_generator(hamiltonian(omega, beta)).matrix
+        assert g.dtype == np.float64
+        assert max_abs_diff(to_pauli_transfer(lindbladian(omega, beta)), g) < 1e-14
+        d = pauli_dissipator(rates).matrix
+        assert max_abs_diff(to_pauli_transfer(lindbladian(rates=rates.as_tuple())), d) < 1e-14
+
+        lam = PauliChannelParams(*rng.uniform(0.0, 1.0 / 3.0, 3))
+        n = channel_superop(lam)
+        assert max_abs_diff(to_pauli_transfer(pauli_channel(lam.as_tuple())), n) < 1e-14
+        q1, q2, q3 = rng.uniform(-0.3, 0.3, 3)
+        q = MitigationCoeffs(1.0 - q1 - q2 - q3, q1, q2, q3)  # q0 I + sum_k q_k P_k . P_k
+        m = coeffs_to_superop(q)
+        assert max_abs_diff(to_pauli_transfer(pauli_channel((q1, q2, q3))), m) < 1e-14
 
 
 def test_unitary_propagation_preserves_trace_and_hermiticity(rng):

@@ -1,52 +1,22 @@
 import numpy as np
 import pytest
 
+from pecstep.generators import PauliRates, hamiltonian, pauli_dissipator, unitary_generator
 from pecstep.linalg import (
     I2,
     X,
     Y,
     Z,
-    devectorize,
     expm,
     frobenius_norm,
-    kron,
     max_abs_diff,
-    vectorize,
+    pauli_coords,
 )
 
-from conftest import random_complex, taylor_expm
+from conftest import BASIS_INV, conjugation, random_complex, random_density, taylor_expm, unvec, vec
 
 KET1 = np.array([[1.0], [0.0]], dtype=complex)  # |1> = (1, 0)^T
 KET0 = np.array([[0.0], [1.0]], dtype=complex)
-
-
-def test_kron_identity():
-    assert max_abs_diff(kron(I2, I2), np.eye(4)) == 0.0
-
-
-def test_kron_zz_is_diagonal():
-    assert max_abs_diff(kron(Z, Z), np.diag([1.0, -1.0, -1.0, 1.0])) == 0.0
-
-
-def test_kron_conjugation_matches_direct_product():
-    rho = KET1 @ KET1.conj().T
-    via_superop = devectorize(kron(X, X) @ vectorize(rho))
-    direct = X @ rho @ X
-    assert max_abs_diff(via_superop, direct) < 1e-15
-    assert max_abs_diff(direct, KET0 @ KET0.conj().T) < 1e-15
-
-
-def test_kron_mixed_product_property(rng):
-    for _ in range(10):
-        a, b, c, d = (random_complex(rng, (2, 2)) for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert max_abs_diff(lhs, rhs) < 1e-13
-
-
-def test_kron_associative(rng):
-    a, b, c = (random_complex(rng, (2, 2)) for _ in range(3))
-    assert max_abs_diff(kron(kron(a, b), c), kron(a, kron(b, c))) < 1e-13
 
 
 def test_expm_zero():
@@ -87,57 +57,56 @@ def test_expm_commuting_sum(rng):
 
 def test_expm_relative_accuracy_up_to_norm_50(rng):
     # compares against an independent Taylor-with-squaring evaluation on
-    # generator-shaped matrices (anti-Hermitian commutator part plus Pauli
-    # dissipator), the class this library exponentiates
-    paulis = (X, Y, Z)
+    # the real Pauli-transfer generators this library exponentiates (a
+    # rotation part plus a Pauli dissipator); real input stays real
     for _ in range(20):
-        h = random_complex(rng, (2, 2))
-        h = h + h.conj().T
-        g = -1j * (kron(I2, h) - kron(h.T, I2))
-        for rate, p in zip(rng.uniform(0.0, 0.5, 3), paulis):
-            g = g + rate * (kron(p.conj(), p) - np.eye(4))
+        g = unitary_generator(hamiltonian(rng.uniform(0.1, 5.0), rng.uniform(-np.pi, np.pi)))
+        g = g.matrix + pauli_dissipator(PauliRates(*rng.uniform(0.0, 0.5, 3))).matrix
         g *= rng.uniform(1.0, 50.0) / np.linalg.norm(g)
+        got = expm(g)
+        assert got.dtype == np.float64
         reference = taylor_expm(g, order=40)
-        rel = frobenius_norm(expm(g) - reference) / frobenius_norm(reference)
+        rel = frobenius_norm(got - reference) / frobenius_norm(reference)
         assert rel < 1e-13
 
 
-def test_vectorize_basis_projector():
+def test_pauli_coords_of_excited_state():
+    # |1> = (1, 0)^T: trace 1, z = +1
     rho = KET1 @ KET1.conj().T
-    assert max_abs_diff(vectorize(rho), np.array([1, 0, 0, 0])) == 0.0
+    assert np.array_equal(pauli_coords(rho), [1.0, 0.0, 0.0, 1.0])
+    assert pauli_coords(rho).dtype == np.float64
 
 
-def test_vectorize_column_stacking_order():
-    rho = np.array([[1.0, 2.0], [3.0, 4.0]])
-    # component 2j + i holds entry (i, j)
-    assert max_abs_diff(vectorize(rho), np.array([1.0, 3.0, 2.0, 4.0])) == 0.0
-
-
-def test_vectorize_roundtrip(rng):
+def test_pauli_coords_are_pauli_expectations(rng):
     for _ in range(10):
         rho = random_complex(rng, (2, 2))
         rho = rho + rho.conj().T
-        assert max_abs_diff(devectorize(vectorize(rho)), rho) == 0.0
+        expected = [np.trace(p @ rho).real for p in (I2, X, Y, Z)]
+        assert max_abs_diff(pauli_coords(rho), expected) < 1e-14
+        assert max_abs_diff(pauli_coords(rho), (BASIS_INV @ vec(rho)).real) < 1e-14
 
 
-def test_vectorize_product_identity(rng):
+def test_pauli_coords_batched_and_shape_errors(rng):
+    rhos = np.stack([random_density(rng) for _ in range(3)])
+    assert max_abs_diff(pauli_coords(rhos)[1], pauli_coords(rhos[1])) == 0.0
+    with pytest.raises(ValueError):
+        pauli_coords(np.zeros((3, 3)))
+
+
+def test_reference_vec_product_identity(rng):
+    # the tests' column-stacked reference: vec(A rho B) = (B^T kron A) vec(rho)
     for _ in range(20):
         a, b, rho = (random_complex(rng, (2, 2)) for _ in range(3))
-        lhs = vectorize(a @ rho @ b)
-        rhs = kron(b.T, a) @ vectorize(rho)
-        assert max_abs_diff(lhs, rhs) < 1e-13
-
-
-def test_vectorize_shape_errors():
-    with pytest.raises(ValueError):
-        vectorize(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        devectorize(np.zeros(3))
+        assert max_abs_diff(vec(a @ rho @ b), np.kron(b.T, a) @ vec(rho)) < 1e-13
+        assert max_abs_diff(unvec(vec(rho)), rho) == 0.0
+    assert max_abs_diff(vec(np.array([[1.0, 2.0], [3.0, 4.0]])), [1.0, 3.0, 2.0, 4.0]) == 0.0
+    rho1 = KET1 @ KET1.conj().T
+    assert max_abs_diff(unvec(conjugation(X) @ vec(rho1)), KET0 @ KET0.conj().T) == 0.0
 
 
 def test_norms():
     assert frobenius_norm(I2) == pytest.approx(np.sqrt(2), abs=1e-15)
-    assert frobenius_norm(kron(X, X)) == pytest.approx(2.0, abs=1e-15)
+    assert frobenius_norm(np.diag([1.0, 1.0, -1.0, -1.0])) == pytest.approx(2.0, abs=1e-15)
     assert max_abs_diff(X, X) == 0.0
     with pytest.raises(ValueError):
         max_abs_diff(X, np.eye(4))

@@ -6,19 +6,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import I2, X, Y, Z, conjugation, lindbladian, pauli_channel, unvec, vec
 from pecstep.channels import PauliChannelParams
-from pecstep.generators import (
-    PauliRates,
-    combine,
-    exact_propagate,
-    hamiltonian,
-    pauli_dissipator,
-    unitary_generator,
-)
-from pecstep.linalg import I2, X, Y, Z, devectorize, vectorize
+from pecstep.generators import PauliRates
 from pecstep.sampling import exhaustive_expectation, run_ensemble
 from pecstep.scenarios import ScenarioConfig, build_scenario, fidelity, ideal_evolution
 
@@ -28,25 +22,45 @@ MITIGATIONS = {
 }
 
 
+RHO0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)  # |1><1|
+
+
+def column_stacked_steps(cfg, plan):
+    """The step's deterministic map and infinite-sample mitigation map as
+    complex column-stacked superoperators, rebuilt from the configuration
+    and the plan's sampling distribution with Kronecker products."""
+    if cfg.hardware == "digital":
+        u = scipy.linalg.expm(lindbladian(cfg.omega, cfg.beta) * cfg.dt)
+        deterministic = pauli_channel(cfg.device.as_tuple()) @ u
+    else:
+        l_device = lindbladian(cfg.omega, cfg.beta, cfg.device.as_tuple())
+        deterministic = scipy.linalg.expm(l_device * cfg.dt)
+    d = plan.distribution
+    probs = (d.mu1, d.mu2, d.mu3, 1.0 - d.mu1 - d.mu2 - d.mu3)
+    signs = d.signs + (1,)
+    mitigation = sum(
+        p * s * d.prefactor * conjugation(pauli) for p, s, pauli in zip(probs, signs, (X, Y, Z, I2))
+    )
+    return deterministic, mitigation
+
+
 def reference_columns(cfg, plan, steps):
     """`ideal` and `fidelity` at the given steps from complex column-stacked
-    states: the mitigated step as a matrix power, the target through
-    exact_propagate from t = 0."""
-    gen = combine(
-        unitary_generator(hamiltonian(cfg.omega, cfg.beta)),
-        pauli_dissipator(cfg.target, kind="target-noise"),
-    )
-    rho0 = devectorize(plan.rho0)
-    step_map = plan.mitigation @ plan.deterministic
+    states: the mitigated step as a matrix power, the target as one
+    exponential of the Lindbladian from t = 0."""
+    deterministic, mitigation = column_stacked_steps(cfg, plan)
+    step_map = mitigation @ deterministic
+    l_target = lindbladian(cfg.omega, cfg.beta, cfg.target.as_tuple())
     ideal, fid = [], []
     for n in steps:
-        rho = devectorize(np.linalg.matrix_power(step_map, n) @ plan.rho0)
+        rho = unvec(np.linalg.matrix_power(step_map, n) @ vec(RHO0))
+        target = unvec(scipy.linalg.expm(l_target * n * cfg.dt) @ vec(RHO0))
         ideal.append(rho[0, 0].real)
-        fid.append(fidelity(rho, exact_propagate(gen, rho0, n * cfg.dt)))
+        fid.append(fidelity(rho, target))
     return np.array(ideal), np.array(fid)
 
 
-def exact_stderr(plan, samples):
+def exact_stderr(cfg, plan, samples):
     """Standard error of the weighted observable at `samples` from its exact
     first and second moments, walking every I/X/Y/Z branch sequence with
     complex 2x2 states.
@@ -58,13 +72,14 @@ def exact_stderr(plan, samples):
     d = plan.distribution
     probs = (d.mu1, d.mu2, d.mu3, 1.0 - d.mu1 - d.mu2 - d.mu3)
     weights = tuple(s * d.prefactor for s in d.signs) + (d.prefactor,)
-    walks = [(1.0, 1.0, devectorize(plan.rho0))]  # (probability, weight, state)
+    deterministic, _ = column_stacked_steps(cfg, plan)
+    walks = [(1.0, 1.0, RHO0)]  # (probability, weight, state)
     var = [0.0]
     for _ in range(plan.steps):
         walks = [
             (p * probs[b], w * weights[b], pauli @ stepped @ pauli)
             for p, w, rho in walks
-            for stepped in [devectorize(plan.deterministic @ vectorize(rho))]
+            for stepped in [unvec(deterministic @ vec(rho))]
             for b, pauli in enumerate((X, Y, Z, I2))
             if probs[b] > 0.0
         ]
@@ -125,7 +140,7 @@ def test_ideal_evolution_against_oracle_reference_and_ensemble(cfg):
     assert np.abs(ts.fidelity - fid).max() < 1e-6
 
     stats = run_ensemble(plan, 4096, seed=cfg.steps, workers=1)
-    assert np.all(np.abs(stats.mean - ts.ideal) <= 5.0 * exact_stderr(plan, 4096) + 1e-12)
+    assert np.all(np.abs(stats.mean - ts.ideal) <= 5.0 * exact_stderr(cfg, plan, 4096) + 1e-12)
 
 
 def test_long_horizon_against_reference():

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import pecstep.sampling as sampling
-from conftest import random_density
-from pecstep.channels import PAULI_CONJUGATIONS, PauliChannelParams
+from conftest import BASIS, conjugation, random_density, to_column_stacked, to_pauli_transfer, unvec
+from pecstep.channels import PauliChannelParams
 from pecstep.generators import check_density_matrix
-from pecstep.linalg import X, Y, Z
+from pecstep.linalg import X, Y, Z, pauli_coords, pauli_to_density
 from pecstep.presets import PRESETS
 from pecstep.sampling import exhaustive_expectation, run_ensemble, run_trajectory
 from pecstep.scenarios import (
@@ -48,11 +48,12 @@ def reference_enumeration(plan, steps):
         np.array([[1, 0], [0, -1]], dtype=complex),
         np.eye(2, dtype=complex),
     ]
+    rho0 = BASIS @ plan.rho0  # column-stacked
     means = np.zeros(steps + 1)
-    means[0] = plan.rho0[0].real
-    det = plan.deterministic
+    means[0] = rho0[0].real
+    det = to_column_stacked(plan.deterministic)
     for seq in itertools.product(range(4), repeat=steps):
-        v = plan.rho0.copy()
+        v = rho0
         p, w = 1.0, 1.0
         contributions = []
         for b in seq:
@@ -68,11 +69,11 @@ def reference_enumeration(plan, steps):
 
 
 def test_plan_starts_from_read_only_excited_state():
-    # every plan shares the module-level |1><1| vector; it must stay
+    # every plan shares the module-level |1><1| coordinates; they must stay
     # read-only so no kernel can write through the default
     plan = _plan(_fig1a())
-    assert plan.rho0.dtype == complex
-    assert np.array_equal(plan.rho0, [1, 0, 0, 0])
+    assert plan.rho0.dtype == np.float64
+    assert np.array_equal(plan.rho0, [1, 0, 0, 1])
     assert not plan.rho0.flags.writeable
 
 
@@ -154,8 +155,8 @@ def test_ensemble_moments_match_replayed_trajectories(monkeypatch):
 
 
 def test_pauli_conjugations_are_branch_diagonals():
-    for conj, diag in zip(PAULI_CONJUGATIONS, sampling.BRANCH_DIAG):
-        assert np.allclose(sampling.pauli_transfer(conj), np.diag(diag), rtol=0, atol=1e-15)
+    for p, diag in zip((X, Y, Z, np.eye(2)), sampling.BRANCH_DIAG):
+        assert np.allclose(to_pauli_transfer(conjugation(p)), np.diag(diag), rtol=0, atol=1e-15)
     assert np.array_equal(sampling.BRANCH_DIAG[3], np.ones(4))
 
 
@@ -163,7 +164,8 @@ def test_pauli_coordinates_round_trip(rng):
     for _ in range(5):
         rho = random_density(rng)
         r = np.array([np.trace(p @ rho).real for p in (np.eye(2), X, Y, Z)])
-        assert np.allclose(sampling.pauli_to_density(r), rho, rtol=0, atol=1e-15)
+        assert np.allclose(pauli_to_density(r), rho, rtol=0, atol=1e-15)
+        assert np.allclose(pauli_coords(rho), r, rtol=0, atol=1e-15)
 
 
 def test_trajectory_states_stay_physical():
@@ -187,8 +189,7 @@ def test_trajectory_weight_magnitude_is_prefactor_product():
 def test_exhaustive_single_step_hand_expansion():
     plan = _plan(_fig1a(steps=1))
     d = plan.distribution
-    v = plan.deterministic @ plan.rho0
-    rho = v.reshape((2, 2), order="F")
+    rho = unvec(to_column_stacked(plan.deterministic) @ BASIS @ plan.rho0)
     x = np.array([[0, 1], [1, 0]])
     y = np.array([[0, -1j], [1j, 0]])
     z = np.array([[1, 0], [0, -1]])

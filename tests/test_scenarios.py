@@ -141,11 +141,20 @@ def test_trace_preserved_at_every_step():
         name, cfg = PRESETS[pid].series[0]
         plan = build_scenario(replace(cfg, samples=0))
         step = plan.mitigation @ plan.deterministic
-        v = plan.rho0.copy()
+        r = plan.rho0
         for _ in range(cfg.steps):
-            v = step @ v
-            assert abs((v[0] + v[3]).real - 1.0) < 1e-12
-            assert abs((v[0] + v[3]).imag) < 1e-12
+            r = step @ r
+            assert abs(r[0] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "key, cfg",
+    [(f"{pid}/{name}", cfg) for pid, p in sorted(PRESETS.items()) for name, cfg in p.series
+     if cfg.bias is None],
+)
+def test_unbiased_step_map_keeps_trace_exactly(key, cfg):
+    plan = build_scenario(cfg)
+    assert np.array_equal((plan.mitigation @ plan.deterministic)[0], [1.0, 0.0, 0.0, 0.0])
 
 
 # --- reference formulas ---
