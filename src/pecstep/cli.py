@@ -161,13 +161,9 @@ def config_echo(cfg: ScenarioConfig) -> dict:
     return echo
 
 
-def _fmt(x: float) -> str:
-    return "" if x is None or np.isnan(x) else format(float(x), ".12g")
-
-
 def write_csv(path, series: TimeSeries, cfg: ScenarioConfig) -> None:
-    """Write the series.  Raises ValueError on NaN in a column `cfg`
-    defines: NaN prints as an empty field, which means "not applicable"."""
+    """Write the series.  A column `cfg` does not define prints as empty
+    fields ("not applicable"); raises ValueError on NaN in one it defines."""
     defined = ("ideal", "fidelity")
     if resolve_reference(cfg) is not None:
         defined += ("reference",)
@@ -180,21 +176,10 @@ def write_csv(path, series: TimeSeries, cfg: ScenarioConfig) -> None:
                 f"{name}: NaN at step {int(series.step[bad[0]])} "
                 f"({bad.size} of {series.step.size} steps); no CSV written to {path}"
             )
-    lines = [CSV_HEADER]
-    for i in range(series.step.size):
-        lines.append(
-            ",".join(
-                (
-                    str(int(series.step[i])),
-                    _fmt(series.t[i]),
-                    _fmt(series.ideal[i]),
-                    _fmt(series.reference[i]),
-                    _fmt(series.mc_mean[i]),
-                    _fmt(series.mc_stderr[i]),
-                    _fmt(series.fidelity[i]),
-                )
-            )
-        )
+    names = CSV_HEADER.split(",")[2:]
+    row = ",".join(["%d", "%.12g"] + ["%.12g" if name in defined else "" for name in names])
+    columns = [series.step, series.t] + [getattr(series, name) for name in names if name in defined]
+    lines = [CSV_HEADER] + [row % values for values in zip(*(c.tolist() for c in columns))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
