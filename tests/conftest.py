@@ -11,7 +11,10 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def vec(rho):
-    return np.asarray(rho, dtype=complex).flatten(order="F")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
+    return rho.flatten(order="F")
 
 
 def unvec(v):

@@ -19,6 +19,43 @@ KET1 = np.array([[1.0], [0.0]], dtype=complex)  # |1> = (1, 0)^T
 KET0 = np.array([[0.0], [1.0]], dtype=complex)
 
 
+# The kron and vectorize tests below check the tests' own column-stacked
+# reference (conftest: np.kron, vec, unvec, conjugation), which
+# test_generators, test_properties and test_sampling compare the library's
+# real Pauli-transfer maps against.
+
+
+def test_kron_identity():
+    assert max_abs_diff(np.kron(I2, I2), np.eye(4)) == 0.0
+
+
+def test_kron_zz_is_diagonal():
+    assert max_abs_diff(np.kron(Z, Z), np.diag([1.0, -1.0, -1.0, 1.0])) == 0.0
+
+
+def test_kron_conjugation_matches_direct_product():
+    rho = KET1 @ KET1.conj().T
+    via_superop = unvec(conjugation(X) @ vec(rho))
+    direct = X @ rho @ X
+    assert max_abs_diff(via_superop, direct) < 1e-15
+    assert max_abs_diff(direct, KET0 @ KET0.conj().T) < 1e-15
+
+
+def test_kron_mixed_product_property(rng):
+    for _ in range(10):
+        a, b, c, d = (random_complex(rng, (2, 2)) for _ in range(4))
+        lhs = np.kron(a, b) @ np.kron(c, d)
+        rhs = np.kron(a @ c, b @ d)
+        assert max_abs_diff(lhs, rhs) < 1e-13
+        # so conjugation superoperators compose like the maps they stand for
+        assert max_abs_diff(conjugation(a) @ conjugation(c), conjugation(a @ c)) < 1e-12
+
+
+def test_kron_associative(rng):
+    a, b, c = (random_complex(rng, (2, 2)) for _ in range(3))
+    assert max_abs_diff(np.kron(np.kron(a, b), c), np.kron(a, np.kron(b, c))) < 1e-13
+
+
 def test_expm_zero():
     assert max_abs_diff(expm(np.zeros((4, 4))), np.eye(4)) == 0.0
 
@@ -93,15 +130,37 @@ def test_pauli_coords_batched_and_shape_errors(rng):
         pauli_coords(np.zeros((3, 3)))
 
 
-def test_reference_vec_product_identity(rng):
-    # the tests' column-stacked reference: vec(A rho B) = (B^T kron A) vec(rho)
+def test_vectorize_basis_projector():
+    rho = KET1 @ KET1.conj().T
+    assert max_abs_diff(vec(rho), np.array([1, 0, 0, 0])) == 0.0
+
+
+def test_vectorize_column_stacking_order():
+    rho = np.array([[1.0, 2.0], [3.0, 4.0]])
+    # component 2j + i holds entry (i, j)
+    assert max_abs_diff(vec(rho), np.array([1.0, 3.0, 2.0, 4.0])) == 0.0
+
+
+def test_vectorize_roundtrip(rng):
+    for _ in range(10):
+        rho = random_complex(rng, (2, 2))
+        rho = rho + rho.conj().T
+        assert max_abs_diff(unvec(vec(rho)), rho) == 0.0
+
+
+def test_vectorize_product_identity(rng):
     for _ in range(20):
         a, b, rho = (random_complex(rng, (2, 2)) for _ in range(3))
-        assert max_abs_diff(vec(a @ rho @ b), np.kron(b.T, a) @ vec(rho)) < 1e-13
-        assert max_abs_diff(unvec(vec(rho)), rho) == 0.0
-    assert max_abs_diff(vec(np.array([[1.0, 2.0], [3.0, 4.0]])), [1.0, 3.0, 2.0, 4.0]) == 0.0
-    rho1 = KET1 @ KET1.conj().T
-    assert max_abs_diff(unvec(conjugation(X) @ vec(rho1)), KET0 @ KET0.conj().T) == 0.0
+        lhs = vec(a @ rho @ b)
+        rhs = np.kron(b.T, a) @ vec(rho)
+        assert max_abs_diff(lhs, rhs) < 1e-13
+
+
+def test_vectorize_shape_errors():
+    with pytest.raises(ValueError):
+        vec(np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        unvec(np.zeros(3))
 
 
 def test_norms():
