@@ -4,17 +4,17 @@
     python scripts/reproduce_figures.py --output out/figures --svg
     python scripts/reproduce_figures.py --full-samples   # original ensemble sizes
 
-Sampled presets default to 10^6 trajectories; --full-samples restores the
-20x larger original counts (expect a ~15 minute run).
+Each preset runs through `pecstep figure`, so the files are the ones that
+command writes.  Sampled presets default to 10^6 trajectories;
+--full-samples restores the 20x larger original counts (expect a ~15
+minute run).  Stops at the first preset that fails and exits with its code.
 """
 
 import argparse
 import time
-from pathlib import Path
 
-from pecstep.cli import _run_series
-from pecstep.presets import PRESETS, with_overrides
-from pecstep.sampling import default_workers
+from pecstep import cli
+from pecstep.presets import PRESETS
 
 
 def main() -> int:
@@ -29,21 +29,22 @@ def main() -> int:
     parser.add_argument("--only", nargs="*", default=None, help="subset of preset ids")
     args = parser.parse_args()
 
-    out = Path(args.output)
-    ids = args.only if args.only else sorted(PRESETS)
-    workers = default_workers()
-    for pid in ids:
-        p = PRESETS[pid]
+    for pid in args.only or sorted(PRESETS):
         samples = args.samples
-        if samples is None and args.full_samples and p.full_samples:
-            samples = p.full_samples
-        configs = [
-            (name, with_overrides(cfg, samples=samples, seed=args.seed))
-            for name, cfg in p.series
-        ]
+        if samples is None and args.full_samples and pid in PRESETS:
+            samples = PRESETS[pid].full_samples or None
+        argv = ["figure", pid, "--output", args.output]
+        if samples is not None:
+            argv += ["--samples", str(samples)]
+        if args.seed is not None:
+            argv += ["--seed", str(args.seed)]
+        if args.svg:
+            argv.append("--svg")
         t0 = time.perf_counter()
-        outputs = _run_series(configs, out, pid, args.svg, workers)
-        print(f"{pid:7s} {time.perf_counter() - t0:7.2f}s  {', '.join(outputs)}")
+        code = cli.main(argv)
+        if code:
+            return code
+        print(f"{pid:7s} {time.perf_counter() - t0:7.2f}s")
     return 0
 
 

@@ -78,9 +78,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return values
 
 
-def _number(values: dict, key: str, convert, default=None):
+def _number(values: dict, key: str, convert):
     if key not in values:
-        return default
+        return None
     try:
         number = convert(values[key])
     except ValueError:
@@ -112,21 +112,14 @@ def config_from_values(values: dict) -> ScenarioConfig:
         *(0.0 if v is None else v for v in (_number(values, k, float) for k in _TRIPLES["target"]))
     )
 
-    reference = values.get("reference", "auto")
-    kwargs = dict(
-        hardware=hardware,
-        device=device,
-        target=target,
-        mitigation=values.get("mitigation", "exact"),
-        omega=_number(values, "omega", float, 1.0),
-        beta=_number(values, "beta", float, 0.0),
-        dt=_number(values, "dt", float, 0.5),
-        steps=_number(values, "steps", int, 20),
-        samples=_number(values, "samples", int, 0),
-        seed=_number(values, "seed", int, 0),
-        bias=_number(values, "bias", float, None),
-        reference=None if reference == "none" else reference,
-    )
+    # keys absent from the file take the ScenarioConfig defaults
+    kwargs = dict(hardware=hardware, device=device, target=target)
+    kwargs.update((k, _number(values, k, float)) for k in _FLOAT_KEYS if k in values)
+    kwargs.update((k, _number(values, k, int)) for k in _INT_KEYS if k in values)
+    if "mitigation" in values:
+        kwargs["mitigation"] = values["mitigation"]
+    if "reference" in values:
+        kwargs["reference"] = None if values["reference"] == "none" else values["reference"]
     try:
         return ScenarioConfig(**kwargs)
     except ValueError as exc:
@@ -310,7 +303,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,8 @@ On the Pauli coordinates (trace, x, y, z) of a state, the Hamiltonian part
 -i[H, rho] with H = h . sigma rotates the Bloch vector, dr/dt = 2 h x r,
 and each Pauli dissipator g(P rho P - rho) damps the two Bloch components
 that anticommute with P at rate 2g.  The trace row of every generator is
-zero.
+zero.  Generators are plain read-only float64 arrays: they add, commute
+and exponentiate as matrices.
 """
 
 import math
@@ -12,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, expm, frobenius_norm, pauli_coords, pauli_to_density
-
-GENERATOR_KINDS = ("hamiltonian", "target-noise", "device-noise", "combined")
+from .linalg import expm, frobenius_norm, pauli_coords, pauli_to_density
 
 
 @dataclass(frozen=True)
@@ -37,72 +36,33 @@ class PauliRates:
         return self.gx == 0.0 and self.gy == 0.0 and self.gz == 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class Hamiltonian:
-    """Rabi Hamiltonian omega*(sin(beta) X - cos(beta) Y); eigenvalues +-omega."""
-
-    omega: float
-    beta: float
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class Generator:
-    """A 4x4 generator tagged by its physical role."""
-
-    matrix: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-
-
-def hamiltonian(omega: float, beta: float) -> Hamiltonian:
-    m = omega * (np.sin(beta) * PAULIS[0] - np.cos(beta) * PAULIS[1])
-    m.setflags(write=False)
-    return Hamiltonian(omega=float(omega), beta=float(beta), matrix=m)
-
-
-def unitary_generator(h: Hamiltonian) -> Generator:
-    """Generator of rho -> -i[H, rho]: rotation of the Bloch vector about
-    the axis (sin beta, -cos beta, 0) at angular rate 2 omega."""
-    hx, hy = h.omega * np.sin(h.beta), -h.omega * np.cos(h.beta)
+def unitary_generator(omega: float, beta: float) -> np.ndarray:
+    """Generator of rho -> -i[H, rho] for the Rabi Hamiltonian
+    H = omega (sin(beta) X - cos(beta) Y): rotation of the Bloch vector
+    about the axis (sin beta, -cos beta, 0) at angular rate 2 omega."""
+    hx, hy = omega * np.sin(beta), -omega * np.cos(beta)
     m = np.zeros((4, 4))
     m[1, 3], m[3, 1] = 2.0 * hy, -2.0 * hy
     m[3, 2], m[2, 3] = 2.0 * hx, -2.0 * hx
     m.setflags(write=False)
-    return Generator(matrix=m, kind="hamiltonian")
+    return m
 
 
-def pauli_dissipator(rates: PauliRates, kind: str = "target-noise") -> Generator:
+def pauli_dissipator(rates: PauliRates) -> np.ndarray:
     """Generator of rho -> sum_k g_k (P_k rho P_k - rho):
     diag(0, -2(gy + gz), -2(gx + gz), -2(gx + gy))."""
     gx, gy, gz = rates.as_tuple()
     m = np.diag([0.0, -2.0 * (gy + gz), -2.0 * (gx + gz), -2.0 * (gx + gy)])
     m.setflags(write=False)
-    return Generator(matrix=m, kind=kind)
+    return m
 
 
-def combine(a: Generator, b: Generator) -> Generator:
-    """Sum two generators, refusing physically nonsensical pairings."""
-    if a.kind == b.kind and a.kind != "combined":
-        raise ValueError(f"refusing to combine two {a.kind!r} generators")
-    m = a.matrix + b.matrix
-    m.setflags(write=False)
-    return Generator(matrix=m, kind="combined")
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a, b = np.asarray(a), np.asarray(b)
+    return a @ b - b @ a
 
 
-def _as_matrix(g) -> np.ndarray:
-    return g.matrix if isinstance(g, Generator) else np.asarray(g)
-
-
-def commutator(a, b) -> np.ndarray:
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    return ma @ mb - mb @ ma
-
-
-def commutator_norm(a, b) -> float:
+def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return frobenius_norm(commutator(a, b))
 
 
@@ -120,10 +80,10 @@ def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
 
 
-def exact_propagate(g: Generator, rho0: np.ndarray, t: float) -> np.ndarray:
+def exact_propagate(g: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     """Evolve rho0 by exp(L t) for the full generator; physicality of the
     input is enforced, the output is whatever the generator produces."""
     if t < 0:
         raise ValueError(f"propagation time must be >= 0, got {t}")
     check_density_matrix(rho0)
-    return pauli_to_density(expm(_as_matrix(g) * t) @ pauli_coords(rho0))
+    return pauli_to_density(expm(np.asarray(g) * t) @ pauli_coords(rho0))

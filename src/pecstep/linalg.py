@@ -3,21 +3,13 @@
 A state rho is stored as its real Pauli coordinates r = (trace, x, y, z)
 with r_P = Tr(P rho) for P = I, X, Y, Z, so rho = (t I + x X + y Y + z Z)/2.
 Every linear map on states (generator, channel, step) is then a real 4x4
-Pauli-transfer matrix acting on r.
+Pauli-transfer matrix acting on r.  The computational basis is ordered
+|1> = (1, 0)^T, |0> = (0, 1)^T, so Z = diag(1, -1) and the excited-state
+population is rho[0, 0] = (t + z) / 2.
 """
 
 import numpy as np
 import scipy.linalg
-
-# Basis convention: |1> = (1, 0)^T, |0> = (0, 1)^T, hence Z = diag(1, -1).
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (X, Y, Z)
-
-for _m in (I2, X, Y, Z):
-    _m.setflags(write=False)
 
 
 def expm(a: np.ndarray) -> np.ndarray:

@@ -20,13 +20,10 @@ import numpy as np
 from . import channels, sampling
 from .channels import MitigationCoeffs, PauliChannelParams
 from .generators import (
-    Generator,
     PauliRates,
     check_density_matrix,
-    combine,
     commutator_norm,
     exact_propagate,  # noqa: F401  (kept importable as pecstep.scenarios.exact_propagate)
-    hamiltonian,
     pauli_dissipator,
     unitary_generator,
 )
@@ -125,32 +122,6 @@ class TimeSeries:
     negativity: np.ndarray
 
 
-def device_rates(cfg: ScenarioConfig) -> PauliRates:
-    """Device noise as rates; solves the channel logarithm for digital hardware."""
-    if isinstance(cfg.device, PauliRates):
-        return cfg.device
-    return channels.lambda_to_kappa(cfg.device, cfg.dt, mode="exact")
-
-
-def scenario_generators(cfg: ScenarioConfig) -> dict[str, Generator]:
-    """The three generators of the configuration: unitary, target, device.
-
-    Digital device noise is converted through the channel logarithm, which
-    only exists for rate-decomposable channels; the simulation paths below
-    avoid this conversion unless they actually need the device generator.
-    """
-    device = pauli_dissipator(device_rates(cfg), kind="device-noise")
-    return {**_dynamics_generators(cfg), "device": device}
-
-
-def _dynamics_generators(cfg: ScenarioConfig) -> dict[str, Generator]:
-    h = hamiltonian(cfg.omega, cfg.beta)
-    return {
-        "unitary": unitary_generator(h),
-        "target": pauli_dissipator(cfg.target, kind="target-noise"),
-    }
-
-
 def mitigation_coeffs(cfg: ScenarioConfig) -> MitigationCoeffs:
     if cfg.mitigation == "none":
         return MitigationCoeffs(1.0, 0.0, 0.0, 0.0)
@@ -172,15 +143,13 @@ def mitigation_coeffs(cfg: ScenarioConfig) -> MitigationCoeffs:
 
 
 def build_scenario(cfg: ScenarioConfig) -> sampling.StepPlan:
-    gens = _dynamics_generators(cfg)
+    unitary = unitary_generator(cfg.omega, cfg.beta)
     if cfg.hardware == "digital":
         # unitary layer, then the noise channel
-        u = expm(gens["unitary"].matrix * cfg.dt)
-        deterministic = channels.channel_superop(cfg.device) @ u
+        deterministic = channels.channel_superop(cfg.device) @ expm(unitary * cfg.dt)
     else:
         # one exponential: the noise acts during the Hamiltonian evolution
-        device = pauli_dissipator(cfg.device, kind="device-noise")
-        deterministic = expm(combine(gens["unitary"], device).matrix * cfg.dt)
+        deterministic = expm((unitary + pauli_dissipator(cfg.device)) * cfg.dt)
 
     q = mitigation_coeffs(cfg)
     dist = channels.sampling_distribution(q, bias=1.0 if cfg.bias is None else cfg.bias)
@@ -194,6 +163,12 @@ def build_scenario(cfg: ScenarioConfig) -> sampling.StepPlan:
         distribution=dist,
         steps=cfg.steps,
     )
+
+
+def _exact_step(cfg: ScenarioConfig) -> np.ndarray:
+    """One step exp((L_h + L_d) dt) of the target dynamics."""
+    generator = unitary_generator(cfg.omega, cfg.beta) + pauli_dissipator(cfg.target)
+    return expm(generator * cfg.dt)
 
 
 def fidelity(r1: np.ndarray, r2: np.ndarray) -> float:
@@ -367,10 +342,8 @@ def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) 
     if plan is None:
         plan = build_scenario(cfg)
     check_density_matrix(pauli_to_density(plan.rho0))
-    gens = _dynamics_generators(cfg)
-    exact_step = expm(combine(gens["unitary"], gens["target"]).matrix * cfg.dt)
     r = _orbit(plan.mitigation @ plan.deterministic, plan.rho0, cfg.steps)
-    e = _orbit(exact_step, plan.rho0, cfg.steps)
+    e = _orbit(_exact_step(cfg), plan.rho0, cfg.steps)
 
     # qubit fidelity Tr(rho sigma) + 2 sqrt(det rho det sigma), with
     # Tr(rho sigma) = (t1 t2 + x1 x2 + y1 y2 + z1 z2) / 2; see fidelity()
@@ -413,9 +386,7 @@ def one_step_error_norm(cfg: ScenarioConfig, dt: float | None = None) -> float:
     if dt is not None:
         cfg = replace(cfg, dt=dt)
     plan = build_scenario(cfg)
-    gens = _dynamics_generators(cfg)
-    exact = expm(combine(gens["unitary"], gens["target"]).matrix * cfg.dt)
-    return frobenius_norm(plan.mitigation @ plan.deterministic - exact)
+    return frobenius_norm(plan.mitigation @ plan.deterministic - _exact_step(cfg))
 
 
 def trotter_error_norm(cfg: ScenarioConfig, dt: float | None = None) -> float:
@@ -426,15 +397,22 @@ def trotter_error_norm(cfg: ScenarioConfig, dt: float | None = None) -> float:
 
 
 def diagnostics(cfg: ScenarioConfig) -> dict:
-    """Commutator norms, coefficients and sampling overhead for a config."""
-    gens = scenario_generators(cfg)
+    """Commutator norms, coefficients and sampling overhead for a config.
+
+    Digital device noise enters as rates through the channel logarithm,
+    which only exists for rate-decomposable channels.
+    """
+    kappa = cfg.device
+    if cfg.hardware == "digital":
+        kappa = channels.lambda_to_kappa(cfg.device, cfg.dt, mode="exact")
+    unitary = unitary_generator(cfg.omega, cfg.beta)
+    target, device = pauli_dissipator(cfg.target), pauli_dissipator(kappa)
     q = mitigation_coeffs(cfg)
     dist = channels.sampling_distribution(q, bias=1.0 if cfg.bias is None else cfg.bias)
-    diff = gens["target"].matrix - gens["device"].matrix
     return {
-        "comm_target_unitary": commutator_norm(gens["target"], gens["unitary"]),
-        "comm_device_unitary": commutator_norm(gens["device"], gens["unitary"]),
-        "comm_diff_unitary": commutator_norm(diff, gens["unitary"]),
+        "comm_target_unitary": commutator_norm(target, unitary),
+        "comm_device_unitary": commutator_norm(device, unitary),
+        "comm_diff_unitary": commutator_norm(target - device, unitary),
         "one_step_error": one_step_error_norm(cfg),
         "coeffs": q,
         "distribution": dist,

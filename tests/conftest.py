@@ -26,9 +26,14 @@ def conjugation(p):
     return np.kron(p.conj(), p)
 
 
+def hamiltonian(omega, beta):
+    """Rabi Hamiltonian omega (sin(beta) X - cos(beta) Y); eigenvalues +-omega."""
+    return omega * (np.sin(beta) * X - np.cos(beta) * Y)
+
+
 def lindbladian(omega=0.0, beta=0.0, rates=(0.0, 0.0, 0.0)):
-    """-i[H, .] + sum_k g_k (P_k . P_k - .) for H = omega (sin b X - cos b Y)."""
-    h = omega * (np.sin(beta) * X - np.cos(beta) * Y)
+    """-i[H, .] + sum_k g_k (P_k . P_k - .) for H = hamiltonian(omega, beta)."""
+    h = hamiltonian(omega, beta)
     m = -1j * (np.kron(I2, h) - np.kron(h.T, I2))
     for g, p in zip(rates, (X, Y, Z)):
         m = m + g * (conjugation(p) - np.eye(4))

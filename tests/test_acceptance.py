@@ -175,10 +175,8 @@ def test_criterion_9_coefficient_identity_grid():
                     q = general_exact_coeffs(PauliRates(*g), PauliRates(*k), dt)
                     assert abs(sum(q.as_tuple()) - 1.0) <= 1e-12
                     assert q.q0 > 0.25
-                    lhs = coeffs_to_superop(q) @ expm(
-                        pauli_dissipator(PauliRates(*k)).matrix * dt
-                    )
-                    rhs = expm(pauli_dissipator(PauliRates(*g)).matrix * dt)
+                    lhs = coeffs_to_superop(q) @ expm(pauli_dissipator(PauliRates(*k)) * dt)
+                    rhs = expm(pauli_dissipator(PauliRates(*g)) * dt)
                     assert max_abs_diff(lhs, rhs) <= 1e-10
 
 

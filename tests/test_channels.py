@@ -270,7 +270,7 @@ def test_kappa_to_lambda_matches_exponential(rng):
         rates = PauliRates(*rng.uniform(0, 0.5, 3))
         dt = rng.uniform(0.1, 1.0)
         n = channel_superop(kappa_to_lambda(rates, dt))
-        reference = expm(pauli_dissipator(rates).matrix * dt)
+        reference = expm(pauli_dissipator(rates) * dt)
         assert max_abs_diff(n, reference) < 1e-12
 
 
@@ -292,8 +292,8 @@ def test_general_coeffs_convert_device_into_target(rng):
         k = PauliRates(*rng.uniform(0, 0.5, 3))
         dt = rng.uniform(0.1, 1.0)
         m = coeffs_to_superop(general_exact_coeffs(g, k, dt))
-        lhs = m @ expm(pauli_dissipator(k).matrix * dt)
-        rhs = expm(pauli_dissipator(g).matrix * dt)
+        lhs = m @ expm(pauli_dissipator(k) * dt)
+        rhs = expm(pauli_dissipator(g) * dt)
         assert max_abs_diff(lhs, rhs) < 1e-12
 
 
@@ -309,8 +309,8 @@ def test_general_coeffs_grid_invariants(g, k, dt):
     q = general_exact_coeffs(PauliRates(*g), PauliRates(*k), dt)
     assert abs(sum(q.as_tuple()) - 1.0) <= 1e-12
     assert q.q0 > 0.25
-    lhs = coeffs_to_superop(q) @ expm(pauli_dissipator(PauliRates(*k)).matrix * dt)
-    rhs = expm(pauli_dissipator(PauliRates(*g)).matrix * dt)
+    lhs = coeffs_to_superop(q) @ expm(pauli_dissipator(PauliRates(*k)) * dt)
+    rhs = expm(pauli_dissipator(PauliRates(*g)) * dt)
     assert max_abs_diff(lhs, rhs) < 1e-10
 
 

@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from pecstep import cli
+from pecstep.channels import PauliChannelParams
 from pecstep.cli import (
     CSV_HEADER,
     ConfigError,
+    config_echo,
     config_from_values,
     load_config,
     main,
     parse_config_text,
 )
+from pecstep.generators import PauliRates
+from pecstep.presets import PRESETS
+from pecstep.scenarios import ScenarioConfig
 
 UNMITIGATED_CFG = """\
 # step-proportional depolarizing noise, no mitigation
@@ -166,6 +171,22 @@ def test_diagnose_commuting_case(tmp_path, capsys):
     assert float(comm.split("=")[1]) < 1e-13
 
 
+@pytest.mark.parametrize(
+    "hardware, device", [("digital", PauliChannelParams()), ("analog", PauliRates())]
+)
+def test_config_defaults_are_the_scenario_config_defaults(hardware, device):
+    assert config_from_values({"hardware": hardware}) == ScenarioConfig(
+        hardware=hardware, device=device
+    )
+
+
+def test_manifest_config_echo_round_trips_every_preset():
+    for p in PRESETS.values():
+        for _, cfg in p.series:
+            echo = {k: str(v) for k, v in config_echo(cfg).items()}
+            assert config_from_values(echo) == cfg
+
+
 def test_load_config_from_file(tmp_path):
     cfg = load_config(_write(tmp_path, "c.cfg", UNMITIGATED_CFG))
     assert cfg.steps == 20 and cfg.samples == 0
@@ -213,6 +234,17 @@ def test_weight_overflow_exits_with_message(tmp_path, capsys):
     assert main(args + ["--output", str(tmp_path)]) == 2
     assert "overflows" in capsys.readouterr().err
     assert not (tmp_path / "heavy.csv").exists()
+
+
+def test_allocation_failure_exits_with_message(tmp_path, capsys, monkeypatch):
+    def simulate_out_of_memory(cfg, workers=None):
+        raise MemoryError("Unable to allocate 2.91 TiB for an array")
+
+    monkeypatch.setattr(cli, "simulate", simulate_out_of_memory)
+    cfg = _write(tmp_path, "huge.cfg", "hardware = digital\nsteps = 100000000000\n")
+    assert main(["run", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+    assert "error: Unable to allocate" in capsys.readouterr().err
+    assert not (tmp_path / "huge.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,9 @@ from hypothesis import given, strategies as st
 from pecstep.generators import (
     PauliRates,
     check_density_matrix,
-    combine,
     commutator,
     commutator_norm,
     exact_propagate,
-    hamiltonian,
     pauli_dissipator,
     unitary_generator,
 )
@@ -19,9 +17,13 @@ from pecstep.channels import (
     channel_superop,
     coeffs_to_superop,
 )
-from pecstep.linalg import X, Y, Z, expm, max_abs_diff, pauli_coords
+from pecstep.linalg import expm, max_abs_diff, pauli_coords
 
 from conftest import (
+    X,
+    Y,
+    Z,
+    hamiltonian,
     lindbladian,
     pauli_channel,
     random_complex,
@@ -34,16 +36,16 @@ TRACE_ROW = np.array([1.0, 0.0, 0.0, 0.0])  # Tr(rho) is the first Pauli coordin
 
 
 def test_hamiltonian_beta_half_pi_is_x():
-    assert max_abs_diff(hamiltonian(1.0, np.pi / 2).matrix, X) < 1e-15
+    assert max_abs_diff(hamiltonian(1.0, np.pi / 2), X) < 1e-15
 
 
 def test_hamiltonian_beta_zero():
     expected = np.array([[0.0, 1.0j], [-1.0j, 0.0]])  # -Y
-    assert max_abs_diff(hamiltonian(1.0, 0.0).matrix, expected) < 1e-15
+    assert max_abs_diff(hamiltonian(1.0, 0.0), expected) < 1e-15
 
 
 def test_hamiltonian_eigenvalues_from_characteristic_polynomial():
-    h = hamiltonian(2.0, 0.7).matrix
+    h = hamiltonian(2.0, 0.7)
     # trace-free 2x2: eigenvalues are +-sqrt(-det)
     lam = np.sqrt(-np.linalg.det(h))
     assert abs(np.trace(h)) < 1e-14
@@ -56,24 +58,32 @@ def test_hamiltonian_eigenvalues_from_characteristic_polynomial():
     beta=st.floats(min_value=-np.pi, max_value=np.pi),
 )
 def test_hamiltonian_hermitian_with_eigenvalues_pm_omega(omega, beta):
-    h = hamiltonian(omega, beta)
-    assert max_abs_diff(h.matrix, h.matrix.conj().T) < 1e-14
-    assert np.allclose(np.linalg.eigvalsh(h.matrix), [-omega, omega], atol=1e-12)
+    # -i[H, .] for H with eigenvalues +-omega: an antisymmetric, trace-free
+    # rotation generator with eigenvalues {0, 0, +-2i omega} whose kernel
+    # holds the rotation axis (sin beta, -cos beta, 0)
+    g = unitary_generator(omega, beta)
+    assert max_abs_diff(g, -g.T) == 0.0
+    assert max_abs_diff(g[0], np.zeros(4)) == 0.0
+    assert max_abs_diff(g[:, 0], np.zeros(4)) == 0.0
+    eigs = sorted(np.linalg.eigvals(g), key=lambda z: (z.imag, z.real))
+    assert np.allclose(eigs, [-2j * omega, 0.0, 0.0, 2j * omega], atol=1e-12)
+    axis = np.array([0.0, np.sin(beta), -np.cos(beta), 0.0])
+    assert max_abs_diff(g @ axis, np.zeros(4)) < 1e-14
 
 
 def test_unitary_generator_zero_hamiltonian():
-    g = unitary_generator(hamiltonian(0.0, 0.3))
-    assert max_abs_diff(g.matrix, np.zeros((4, 4))) == 0.0
+    g = unitary_generator(0.0, 0.3)
+    assert max_abs_diff(g, np.zeros((4, 4))) == 0.0
 
 
 def test_unitary_generator_matches_commutator(rng):
     h = hamiltonian(1.3, 0.4)
-    g = unitary_generator(h)
+    g = unitary_generator(1.3, 0.4)
     for _ in range(10):
         rho = random_complex(rng, (2, 2))
         rho = rho + rho.conj().T
-        lhs = g.matrix @ pauli_coords(rho)
-        rhs = pauli_coords(-1j * (h.matrix @ rho - rho @ h.matrix))
+        lhs = g @ pauli_coords(rho)
+        rhs = pauli_coords(-1j * (h @ rho - rho @ h))
         assert max_abs_diff(lhs, rhs) < 1e-13
 
 
@@ -83,10 +93,11 @@ def test_real_maps_match_column_stacked_reference(rng):
     for _ in range(20):
         omega, beta = rng.uniform(0.0, 5.0), rng.uniform(-np.pi, np.pi)
         rates = PauliRates(*rng.uniform(0.0, 1.0, 3))
-        g = unitary_generator(hamiltonian(omega, beta)).matrix
-        assert g.dtype == np.float64
+        g = unitary_generator(omega, beta)
+        assert g.dtype == np.float64 and not g.flags.writeable
         assert max_abs_diff(to_pauli_transfer(lindbladian(omega, beta)), g) < 1e-14
-        d = pauli_dissipator(rates).matrix
+        d = pauli_dissipator(rates)
+        assert d.dtype == np.float64 and not d.flags.writeable
         assert max_abs_diff(to_pauli_transfer(lindbladian(rates=rates.as_tuple())), d) < 1e-14
 
         lam = PauliChannelParams(*rng.uniform(0.0, 1.0 / 3.0, 3))
@@ -99,7 +110,7 @@ def test_real_maps_match_column_stacked_reference(rng):
 
 
 def test_unitary_propagation_preserves_trace_and_hermiticity(rng):
-    g = unitary_generator(hamiltonian(1.0, 0.2))
+    g = unitary_generator(1.0, 0.2)
     rho = random_density(rng)
     out = exact_propagate(g, rho, 1.0)
     assert abs(np.trace(out).real - 1.0) < 1e-12
@@ -108,7 +119,7 @@ def test_unitary_propagation_preserves_trace_and_hermiticity(rng):
 
 def test_pauli_dissipator_zero_rates():
     g = pauli_dissipator(PauliRates(0, 0, 0))
-    assert max_abs_diff(g.matrix, np.zeros((4, 4))) == 0.0
+    assert max_abs_diff(g, np.zeros((4, 4))) == 0.0
 
 
 def test_negative_rate_rejected():
@@ -147,13 +158,13 @@ def test_x_only_dissipator_fixes_x_component(rng):
 
 def test_generators_are_trace_preserving():
     gens = [
-        unitary_generator(hamiltonian(1.0, 0.3)),
+        unitary_generator(1.0, 0.3),
         pauli_dissipator(PauliRates(0.2, 0.1, 0.05)),
     ]
     for g in gens:
-        assert max_abs_diff(TRACE_ROW @ g.matrix, np.zeros(4)) < 1e-14
+        assert max_abs_diff(TRACE_ROW @ g, np.zeros(4)) < 1e-14
         for t in (0.1, 1.0):
-            assert max_abs_diff(TRACE_ROW @ expm(g.matrix * t), TRACE_ROW) < 1e-12
+            assert max_abs_diff(TRACE_ROW @ expm(g * t), TRACE_ROW) < 1e-12
 
 
 def test_commutator_with_itself_vanishes():
@@ -162,49 +173,46 @@ def test_commutator_with_itself_vanishes():
 
 
 def test_x_hamiltonian_commutes_with_x_noise():
-    lh = unitary_generator(hamiltonian(1.0, np.pi / 2))
+    lh = unitary_generator(1.0, np.pi / 2)
     ld = pauli_dissipator(PauliRates(0.3, 0.0, 0.0))
     assert commutator_norm(lh, ld) < 1e-13
 
 
 @pytest.mark.parametrize("beta", [0.0, np.pi / 4])
 def test_tilted_hamiltonian_does_not_commute_with_x_noise(beta):
-    lh = unitary_generator(hamiltonian(1.0, beta))
+    lh = unitary_generator(1.0, beta)
     ld = pauli_dissipator(PauliRates(0.3, 0.0, 0.0))
     assert commutator_norm(lh, ld) > 0.1
 
 
 def test_commutator_norm_frozen_value():
-    lh = unitary_generator(hamiltonian(1.0, 0.0))
+    lh = unitary_generator(1.0, 0.0)
     ld = pauli_dissipator(PauliRates(0.3, 0.0, 0.0))
     assert commutator_norm(lh, ld) == pytest.approx(1.697056274847714, abs=1e-12)
 
 
 def test_exact_propagate_t_zero(rng):
     rho = random_density(rng)
-    g = unitary_generator(hamiltonian(1.0, 0.0))
+    g = unitary_generator(1.0, 0.0)
     assert max_abs_diff(exact_propagate(g, rho, 0.0), rho) < 1e-15
 
 
 def test_exact_propagate_closed_population():
-    g = unitary_generator(hamiltonian(1.0, 0.0))
+    g = unitary_generator(1.0, 0.0)
     out = exact_propagate(g, RHO_EXCITED, 0.5)
     assert out[0, 0].real == pytest.approx(0.5 * (1 + np.cos(1.0)), abs=1e-13)
     assert out[0, 0].real == pytest.approx(0.7701511529340699, abs=1e-12)
 
 
 def test_exact_propagate_damped_population():
-    g = combine(
-        unitary_generator(hamiltonian(1.0, 0.0)),
-        pauli_dissipator(PauliRates(0.1, 0.1, 0.1)),
-    )
+    g = unitary_generator(1.0, 0.0) + pauli_dissipator(PauliRates(0.1, 0.1, 0.1))
     out = exact_propagate(g, RHO_EXCITED, 0.5)
     assert out[0, 0].real == pytest.approx(0.5 * (1 + np.exp(-0.2) * np.cos(1.0)), abs=1e-13)
     assert out[0, 0].real == pytest.approx(0.7211810568865961, abs=1e-12)
 
 
 def test_exact_propagate_validates_input_state():
-    g = unitary_generator(hamiltonian(1.0, 0.0))
+    g = unitary_generator(1.0, 0.0)
     with pytest.raises(ValueError):
         exact_propagate(g, np.diag([1.5, -0.5]).astype(complex), 0.1)
     with pytest.raises(ValueError):
@@ -213,10 +221,7 @@ def test_exact_propagate_validates_input_state():
 
 @pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
 def test_propagation_physicality(rng, t):
-    g = combine(
-        unitary_generator(hamiltonian(1.0, 0.4)),
-        pauli_dissipator(PauliRates(0.2, 0.05, 0.1)),
-    )
+    g = unitary_generator(1.0, 0.4) + pauli_dissipator(PauliRates(0.2, 0.05, 0.1))
     for _ in range(10):
         out = exact_propagate(g, random_density(rng), t)
         assert abs(np.trace(out).real - 1.0) < 1e-12
@@ -226,25 +231,16 @@ def test_propagation_physicality(rng, t):
 
 def test_splitting_exact_only_when_commuting(rng):
     rho = random_density(rng)
-    lh = unitary_generator(hamiltonian(1.0, np.pi / 2))
+    lh = unitary_generator(1.0, np.pi / 2)
     ld = pauli_dissipator(PauliRates(0.3, 0.0, 0.0))
-    joint = exact_propagate(combine(lh, ld), rho, 0.5)
+    joint = exact_propagate(lh + ld, rho, 0.5)
     split = exact_propagate(ld, exact_propagate(lh, rho, 0.5), 0.5)
     assert max_abs_diff(joint, split) < 1e-12
 
-    lh0 = unitary_generator(hamiltonian(1.0, 0.0))
-    joint = exact_propagate(combine(lh0, ld), rho, 0.5)
+    lh0 = unitary_generator(1.0, 0.0)
+    joint = exact_propagate(lh0 + ld, rho, 0.5)
     split = exact_propagate(ld, exact_propagate(lh0, rho, 0.5), 0.5)
     assert max_abs_diff(joint, split) > 1e-6
-
-
-def test_combine_refuses_duplicate_noise_kinds():
-    a = pauli_dissipator(PauliRates(0.1, 0, 0), kind="device-noise")
-    b = pauli_dissipator(PauliRates(0.2, 0, 0), kind="device-noise")
-    with pytest.raises(ValueError):
-        combine(a, b)
-    ok = combine(pauli_dissipator(PauliRates(0.1, 0, 0)), a)
-    assert ok.kind == "combined"
 
 
 def test_commutator_accepts_raw_matrices():

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
-from pecstep.generators import PauliRates, hamiltonian, pauli_dissipator, unitary_generator
-from pecstep.linalg import (
+from pecstep.generators import PauliRates, pauli_dissipator, unitary_generator
+from pecstep.linalg import expm, frobenius_norm, max_abs_diff, pauli_coords
+
+from conftest import (
+    BASIS_INV,
     I2,
     X,
     Y,
     Z,
-    expm,
-    frobenius_norm,
-    max_abs_diff,
-    pauli_coords,
+    conjugation,
+    random_complex,
+    random_density,
+    taylor_expm,
+    unvec,
+    vec,
 )
-
-from conftest import BASIS_INV, conjugation, random_complex, random_density, taylor_expm, unvec, vec
 
 KET1 = np.array([[1.0], [0.0]], dtype=complex)  # |1> = (1, 0)^T
 KET0 = np.array([[0.0], [1.0]], dtype=complex)
@@ -97,8 +100,8 @@ def test_expm_relative_accuracy_up_to_norm_50(rng):
     # the real Pauli-transfer generators this library exponentiates (a
     # rotation part plus a Pauli dissipator); real input stays real
     for _ in range(20):
-        g = unitary_generator(hamiltonian(rng.uniform(0.1, 5.0), rng.uniform(-np.pi, np.pi)))
-        g = g.matrix + pauli_dissipator(PauliRates(*rng.uniform(0.0, 0.5, 3))).matrix
+        g = unitary_generator(rng.uniform(0.1, 5.0), rng.uniform(-np.pi, np.pi))
+        g = g + pauli_dissipator(PauliRates(*rng.uniform(0.0, 0.5, 3)))
         g *= rng.uniform(1.0, 50.0) / np.linalg.norm(g)
         got = expm(g)
         assert got.dtype == np.float64

@@ -5,10 +5,20 @@ import numpy as np
 import pytest
 
 import pecstep.sampling as sampling
-from conftest import BASIS, conjugation, random_density, to_column_stacked, to_pauli_transfer, unvec
+from conftest import (
+    BASIS,
+    X,
+    Y,
+    Z,
+    conjugation,
+    random_density,
+    to_column_stacked,
+    to_pauli_transfer,
+    unvec,
+)
 from pecstep.channels import PauliChannelParams
 from pecstep.generators import check_density_matrix
-from pecstep.linalg import X, Y, Z, pauli_coords, pauli_to_density
+from pecstep.linalg import pauli_coords, pauli_to_density
 from pecstep.presets import PRESETS
 from pecstep.sampling import exhaustive_expectation, run_ensemble, run_trajectory
 from pecstep.scenarios import (

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pecstep.channels import PauliChannelParams, channel_superop
-from pecstep.generators import PauliRates, hamiltonian, pauli_dissipator, unitary_generator
+from pecstep.generators import PauliRates, pauli_dissipator, unitary_generator
 from pecstep.linalg import expm, max_abs_diff
 from pecstep.presets import PRESETS
 from pecstep.scenarios import (
@@ -272,7 +272,7 @@ def test_trotter_error_requires_exact_mitigation():
 
 
 def test_digital_and_analog_open_exact_are_equivalent():
-    from pecstep.generators import hamiltonian, pauli_dissipator, unitary_generator
+    from pecstep.generators import pauli_dissipator, unitary_generator
     from pecstep.linalg import expm
 
     for beta in (0.0, np.pi / 4, np.pi / 2):
@@ -288,9 +288,7 @@ def test_digital_and_analog_open_exact_are_equivalent():
         a, b = ideal_evolution(dig), ideal_evolution(ana)
         assert np.abs(a.ideal - b.ideal).max() < 1e-12
         # both mitigated steps reduce to exp(L_target dt) exp(L_unitary dt)
-        split = expm(pauli_dissipator(GAMMA_X).matrix * 0.5) @ expm(
-            unitary_generator(hamiltonian(1.0, beta)).matrix * 0.5
-        )
+        split = expm(pauli_dissipator(GAMMA_X) * 0.5) @ expm(unitary_generator(1.0, beta) * 0.5)
         for cfg in (dig, ana):
             plan = build_scenario(cfg)
             assert max_abs_diff(plan.mitigation @ plan.deterministic, split) < 1e-12
@@ -306,14 +304,14 @@ def test_no_trotter_error_when_rate_mismatch_is_depolarizing():
 
 def test_step_plan_structure():
     cfg = replace(PRESETS["fig1a"].series[0][1], samples=0)
-    l_u = unitary_generator(hamiltonian(cfg.omega, cfg.beta)).matrix
+    l_u = unitary_generator(cfg.omega, cfg.beta)
     # digital: the unitary layer, then the noise channel
     expected = channel_superop(cfg.device) @ expm(l_u * cfg.dt)
     assert max_abs_diff(build_scenario(cfg).deterministic, expected) == 0.0
     cfg = replace(PRESETS["fig2a"].series[0][1], samples=0)
-    l_u = unitary_generator(hamiltonian(cfg.omega, cfg.beta)).matrix
+    l_u = unitary_generator(cfg.omega, cfg.beta)
     # analog: one simultaneous exponential
-    l_device = pauli_dissipator(cfg.device, kind="device-noise").matrix
+    l_device = pauli_dissipator(cfg.device)
     expected = expm((l_u + l_device) * cfg.dt)
     assert max_abs_diff(build_scenario(cfg).deterministic, expected) == 0.0
 
