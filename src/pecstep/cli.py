@@ -5,7 +5,8 @@
     pecstep diagnose --config FILE
 
 Worker count for the Monte Carlo ensemble comes from the environment
-variable PECSTEP_WORKERS (default 1); it never changes the results.
+variable PECSTEP_WORKERS (default 1); it never changes the results.  An
+invocation starts at most one worker pool, shared by all its series.
 
 Config files are flat `key = value` lines, '#' starts a comment.  Keys:
 
@@ -36,7 +37,7 @@ from . import __version__, svg
 from .channels import PauliChannelParams
 from .generators import PauliRates
 from .presets import PRESETS, preset, with_overrides
-from .sampling import default_workers
+from .sampling import WorkerPool, default_workers
 from .scenarios import ScenarioConfig, TimeSeries, diagnostics, resolve_reference, simulate
 
 CSV_HEADER = "step,t,ideal,reference,mc_mean,mc_stderr,fidelity"
@@ -202,17 +203,18 @@ def _run_series(named_configs, out_dir: Path, stem: str, want_svg: bool, workers
     t0 = time.perf_counter()
     outputs = []
     configs = []
-    for name, cfg in named_configs:
-        series, _ = simulate(cfg, workers=workers)
-        base = stem if not name else f"{stem}_{name}"
-        csv_path = out_dir / f"{base}.csv"
-        write_csv(csv_path, series, cfg)
-        outputs.append(csv_path.name)
-        if want_svg:
-            svg_path = out_dir / f"{base}.svg"
-            write_svg(svg_path, base, series)
-            outputs.append(svg_path.name)
-        configs.append({"series": name or stem, **config_echo(cfg)})
+    with WorkerPool(workers) as pool:  # one pool for every series of the run
+        for name, cfg in named_configs:
+            series, _ = simulate(cfg, workers=pool)
+            base = stem if not name else f"{stem}_{name}"
+            csv_path = out_dir / f"{base}.csv"
+            write_csv(csv_path, series, cfg)
+            outputs.append(csv_path.name)
+            if want_svg:
+                svg_path = out_dir / f"{base}.svg"
+                write_svg(svg_path, base, series)
+                outputs.append(svg_path.name)
+            configs.append({"series": name or stem, **config_echo(cfg)})
     manifest = {
         "artifact": "pecstep",
         "version": __version__,

@@ -20,6 +20,20 @@ draws.  Results therefore depend only on (seed, samples), never on the
 worker count.  run_trajectory(plan, seed, i) replays exactly the branch
 sequence of ensemble trajectory i (states agree to floating rounding, the
 weights exactly), drawing only row i of the block.
+
+Kernel layout: a chunk is walked in sub-blocks of at most SUB_ROWS rows,
+every step of one sub-block before the next, so that its states stay in
+cache.  A sub-block draws its rows of the chunk's uniforms in order, in
+pieces of at most BLOCK_BYTES, and keeps only one-byte branch codes per
+draw, step-major; no kernel ever holds a chunk's whole uniform block, so
+memory is bounded however many steps a plan has.  The chunk is split as
+numpy's pairwise summation splits a sum and the sub-block partials are
+merged back with the centered-moment formula used across chunks, so the
+observable and state sums equal the unsplit ones bit for bit.  A step
+applies only the nonzero coefficients of the deterministic map (_rotate)
+and turns a branch factor -1 into a flip of the sign bit.  run_ensemble
+can run on a WorkerPool shared by many calls, so that one command starts
+at most one process pool.
 """
 
 import os
@@ -32,6 +46,8 @@ from .channels import BRANCH_DIAG, SamplingDistribution
 from .linalg import pauli_to_density
 
 CHUNK = 1 << 16
+SUB_ROWS = 1 << 14  # rows a chunk walks together: their states stay in a 2 MiB L2
+BLOCK_BYTES = 1 << 23  # bound on a sub-block's branch codes and on each uniform draw
 
 RHO0 = np.array([1.0, 0.0, 0.0, 1.0])  # |1><1| in Pauli coordinates
 RHO0.setflags(write=False)
@@ -91,17 +107,33 @@ def _branch_tables(dist: SamplingDistribution):
     return np.cumsum(dist.mu_tuple()), np.array(dist.signs + (1,), dtype=float)
 
 
-def _rotate(rot: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = rot @ v for states stored as the columns of v, shape (4, rows),
-    as 16 scalar-times-row multiply-adds: row-batched matmuls are handed to
-    BLAS, which starts threads that only compete with the workers."""
-    tmp = np.empty(v.shape[1])
-    for i, coeffs in enumerate(rot.tolist()):
-        row = out[i]
-        np.multiply(v[0], coeffs[0], out=row)
-        for j in (1, 2, 3):
-            np.multiply(v[j], coeffs[j], out=tmp)
-            row += tmp
+def _sparse_rows(rot: np.ndarray) -> list:
+    """The nonzero (column, coefficient) terms of each row of a 4x4 map, the
+    form _rotate takes; built once per map."""
+    return [[(j, c) for j, c in enumerate(row) if c != 0.0] for row in rot.tolist()]
+
+
+def _rotate(rows: list, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = rot @ v for states stored as the columns of v, shape (4, n),
+    with rows = _sparse_rows(rot) and tmp a scratch row of length n.
+
+    A row adds only its nonzero terms, in column order, so the result equals
+    the dense sum of 16 products bit for bit, up to the sign of a zero (a
+    zero product never changes a sum); an all-zero row writes zeros and a
+    lone coefficient 1 copies.  Scalar-times-row numpy calls keep BLAS,
+    whose threads would only compete with the workers, out of the kernel.
+    """
+    for row, terms in zip(out, rows):
+        if not terms:
+            row.fill(0.0)
+        elif len(terms) == 1 and terms[0][1] == 1.0:
+            np.copyto(row, v[terms[0][0]])
+        else:
+            (j, c), *rest = terms
+            np.multiply(v[j], c, out=row)
+            for j, c in rest:
+                np.multiply(v[j], c, out=tmp)
+                row += tmp
     return out
 
 
@@ -110,6 +142,8 @@ def _philox(seed: int, chunk: int) -> np.random.Philox:
 
 
 def _chunk_uniforms(seed: int, chunk: int, rows: int, steps: int) -> np.ndarray:
+    """The chunk's whole uniform block, row-major, as the reproducibility
+    contract defines it; the ensemble draws the same numbers piecewise."""
     return np.random.Generator(_philox(seed, chunk)).random((rows, steps))
 
 
@@ -127,11 +161,20 @@ def _row_uniforms(seed: int, index: int, steps: int) -> np.ndarray:
     return np.random.Generator(bitgen).random(rest + steps)[rest:]
 
 
+def _codes(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Branch index of each uniform, as uint8: the number of cum entries
+    <= u, which is np.searchsorted(cum, u, side="right")."""
+    code = (u >= cum[0]).view(np.uint8)
+    code += u >= cum[1]
+    code += u >= cum[2]
+    return code
+
+
 def run_trajectory(plan: StepPlan, seed: int, index: int = 0) -> TrajectoryResult:
     """Simulate the single trajectory `index` of the ensemble (seed, ...)."""
     u = _row_uniforms(seed, index, plan.steps)
     cum, sign = _branch_tables(plan.distribution)
-    branches = np.searchsorted(cum, u, side="right")
+    branches = _codes(u, cum)
     # one real map per branch: the Pauli diagonal after the deterministic step
     step_maps = BRANCH_DIAG[:, :, None] * plan.deterministic
 
@@ -145,42 +188,115 @@ def run_trajectory(plan: StepPlan, seed: int, index: int = 0) -> TrajectoryResul
     return TrajectoryResult(states=pauli_to_density(r), weights=weights)
 
 
-def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int):
-    """Per-block partials in sign-folded units: observable sum, centered
-    second moment (two-pass within the block, which keeps the spread of a
-    constant observable at zero) and the state sum in Pauli coordinates.
+def _branch_codes(gen: np.random.Generator, cum: np.ndarray, rows: int, steps: int) -> np.ndarray:
+    """Step-major branch codes, shape (steps, rows), of the next `rows` rows
+    of the generator's uniform block.  The uniforms are drawn in order, in
+    pieces of at most BLOCK_BYTES, and only their one-byte codes are kept."""
+    codes = np.empty((steps, rows), dtype=np.uint8)
+    piece = max(1, BLOCK_BYTES // (8 * steps))
+    for a in range(0, rows, piece):
+        u = gen.random((min(piece, rows - a), steps))
+        codes[:, a : a + len(u)] = _codes(u, cum).T
+    return codes
 
-    Each row holds sign(w_n) * (trace, x, y, z) of its trajectory: a branch
-    multiplies the state by its Pauli diagonal times its weight sign, so the
-    weight magnitude gamma^n is left to run_ensemble.
+
+def _flips(sign: np.ndarray) -> list:
+    """flips[i]: the components whose sign-folded branch factor
+    sign[b] * BRANCH_DIAG[b] differs between branches i and i + 1.
+
+    Branch 3 (identity) has factor +1 everywhere, so the factor of branch t
+    follows from flipping the components flips[i] for every i >= t, that is
+    for every threshold cum[i] > u."""
+    fold = sign[:, None] * BRANCH_DIAG
+    return [np.flatnonzero(fold[i] != fold[i + 1]).tolist() for i in range(3)]
+
+
+def _block_stats(rot: list, flips: list, codes: np.ndarray, rho0: np.ndarray):
+    """Partials (rows, s1, m2, sv) of one sub-block, from its step-major
+    branch codes: the observable sum, the centered second moment (two-pass,
+    which keeps the spread of a constant observable at zero) and the state
+    sum in Pauli coordinates, per step.
+
+    Each column of v holds sign(w_n) * (trace, x, y, z) of its trajectory:
+    a branch multiplies the state by its Pauli diagonal times its weight
+    sign, so the weight magnitude gamma^n is left to run_ensemble.  A
+    factor -1 is applied as an exact flip of the sign bit.
     """
-    steps = plan.steps
-    u = _chunk_uniforms(seed, chunk, rows, steps)
-    cum, sign = _branch_tables(plan.distribution)
-    fold = np.ascontiguousarray((sign[:, None] * BRANCH_DIAG).T)  # (component, branch)
-
+    steps, rows = codes.shape
     v = np.empty((4, rows))
-    v[...] = plan.rho0[:, None]
-    rotated = np.empty_like(v)
+    v[...] = rho0[:, None]
+    out = np.empty_like(v)
+    tmp = np.empty(rows)
+    flip = np.empty(rows, dtype=np.uint64)
     s1 = np.zeros(steps + 1)
     m2 = np.zeros(steps + 1)
     sv = np.zeros((steps + 1, 4))
 
     def record(step):
-        obs = 0.5 * (v[0] + v[3])  # <1|rho|1> = (trace + z) / 2
+        obs = np.add(v[0], v[3], out=tmp)
+        obs *= 0.5  # <1|rho|1> = (trace + z) / 2
         s1[step] = obs.sum()
-        centered = obs - s1[step] / rows
-        m2[step] = (centered * centered).sum()
+        obs -= s1[step] / rows
+        obs *= obs
+        m2[step] = obs.sum()
         sv[step] = v.sum(axis=1)
 
     record(0)
     for s in range(steps):
-        _rotate(plan.deterministic, v, rotated)
-        b = np.searchsorted(cum, u[:, s], side="right")
-        for k, component_signs in enumerate(fold):
-            np.multiply(rotated[k], component_signs[b], out=v[k])
+        _rotate(rot, v, out, tmp)
+        bits = out.view(np.uint64)
+        for i, components in enumerate(flips):
+            if components:
+                np.less_equal(codes[s], i, out=flip)  # cum[i] > u, as 0 or 1
+                flip <<= 63  # the sign bit
+                for k in components:
+                    bits[k] ^= flip
+        v, out = out, v
         record(s + 1)
-    return s1, m2, sv
+    return rows, s1, m2, sv
+
+
+def _merge(parts):
+    """Merge (rows, s1, m2, sv) partials of disjoint row sets, in order: the
+    sums add, and the centered moments combine as
+    sum (x - mean)^2 = sum_c [M2_c + n_c (mean_c - mean)^2]."""
+    rows = sum(p[0] for p in parts)
+    s1 = np.zeros_like(parts[0][1])
+    sv = np.zeros_like(parts[0][3])
+    for _, p1, _, pv in parts:
+        s1 += p1
+        sv += pv
+    mean = s1 / rows
+    m2 = np.zeros_like(s1)
+    for n, p1, pm2, _ in parts:
+        m2 += pm2 + n * (p1 / n - mean) ** 2
+    return rows, s1, m2, sv
+
+
+def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int):
+    """Partials (rows, s1, m2, sv) of one chunk, in sign-folded units (see
+    _block_stats).
+
+    The chunk is walked in sub-blocks of at most SUB_ROWS rows whose branch
+    codes fit in BLOCK_BYTES.  It is split as numpy's pairwise summation
+    splits a sum (halves rounded down to a multiple of 8) and the partials
+    are merged back up the same tree, so s1 and sv equal the sums over the
+    whole chunk bit for bit; m2 moves by rounding only.
+    """
+    steps = plan.steps
+    cum, sign = _branch_tables(plan.distribution)
+    rot = _sparse_rows(plan.deterministic)
+    flips = _flips(sign)
+    gen = np.random.Generator(_philox(seed, chunk))
+    leaf = min(SUB_ROWS, max(1, BLOCK_BYTES // steps))
+
+    def stats(n):  # the generator's next n rows
+        if n <= leaf:
+            return _block_stats(rot, flips, _branch_codes(gen, cum, n, steps), plan.rho0)
+        half = n // 2 - n // 2 % 8 or n // 2  # numpy's split; halves below 16 rows
+        return _merge([stats(half), stats(n - half)])
+
+    return stats(rows)
 
 
 def _chunk_stats_star(args):
@@ -191,14 +307,44 @@ def default_workers() -> int:
     return max(1, int(os.environ.get("PECSTEP_WORKERS", "1")))
 
 
+class WorkerPool:
+    """Worker processes for run_ensemble, shared by every call it is given to.
+
+    The ProcessPoolExecutor starts at the first map of more than one job on
+    more than one worker, so a run that never needs it starts none; leaving
+    the with-block shuts it down.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._executor = None
+
+    def map(self, fn, jobs: list) -> list:
+        if self.workers < 2 or len(jobs) < 2:
+            return [fn(job) for job in jobs]
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        return list(self._executor.map(fn, jobs))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+
 def run_ensemble(
-    plan: StepPlan, samples: int, seed: int, workers: int | None = None
+    plan: StepPlan, samples: int, seed: int, workers: int | WorkerPool | None = None
 ) -> EnsembleStats:
     """Ensemble statistics over `samples` independent trajectories.
 
-    Deterministic given (seed, samples): chunk partial sums are merged in
-    chunk order regardless of how many workers computed them.  Raises
-    ValueError when the weight magnitude gamma^steps overflows.
+    `workers` is a WorkerPool to run the chunks on, or a worker count
+    (default: PECSTEP_WORKERS) for a pool that lives only for this call.
+    Deterministic given (seed, samples): chunk partials are merged in chunk
+    order regardless of how many workers computed them.  Raises ValueError
+    when the weight magnitude gamma^steps overflows.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -211,31 +357,19 @@ def run_ensemble(
             f"steps: the weight magnitude gamma^steps = {gamma:.12g}^{steps} "
             "overflows the float range; use fewer steps"
         )
-    workers = default_workers() if workers is None else workers
 
     n_chunks = (samples + CHUNK - 1) // CHUNK
     jobs = [
         (plan, seed, c, min(CHUNK, samples - c * CHUNK)) for c in range(n_chunks)
     ]
-    if workers > 1 and n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_chunk_stats_star, jobs))
+    if isinstance(workers, WorkerPool):
+        partials = workers.map(_chunk_stats_star, jobs)
     else:
-        partials = [_chunk_stats(*job) for job in jobs]
+        with WorkerPool(default_workers() if workers is None else workers) as pool:
+            partials = pool.map(_chunk_stats_star, jobs)
 
-    s1 = np.zeros(steps + 1)
-    sv = np.zeros((steps + 1, 4))
-    for p1, _, pv in partials:
-        s1 += p1
-        sv += pv
+    _, s1, m2, sv = _merge(partials)
     mean = s1 / samples
-
-    # sum of squares about the global mean, rebuilt from the block-centered
-    # moments: sum (x-mean)^2 = sum_c [M2_c + n_c (mean_c - mean)^2]
-    m2 = np.zeros(steps + 1)
-    for job, (p1, pm2, _) in zip(jobs, partials):
-        rows_c = job[3]
-        m2 += pm2 + rows_c * (p1 / rows_c - mean) ** 2
     std = gamma_n * np.sqrt(m2 / (samples - 1)) if samples > 1 else np.zeros(steps + 1)
     return EnsembleStats(
         samples=samples,
@@ -261,6 +395,7 @@ def exhaustive_expectation(plan: StepPlan, steps: int | None = None) -> Exhausti
     cum, sign = _branch_tables(dist)
     probs = np.array([dist.mu1, dist.mu2, dist.mu3, 1.0 - cum[-1]])
     live = [b for b in range(4) if probs[b] > 0.0]
+    rot = _sparse_rows(plan.deterministic)
 
     v = plan.rho0[:, None]  # one column per branch sequence
     pw = np.ones(1)  # probability times weight sign of each sequence
@@ -276,7 +411,7 @@ def exhaustive_expectation(plan: StepPlan, steps: int | None = None) -> Exhausti
 
     record(0)
     for s in range(steps):
-        v = _rotate(plan.deterministic, v, np.empty_like(v))
+        v = _rotate(rot, v, np.empty_like(v), np.empty(v.shape[1]))
         v = np.concatenate([v * BRANCH_DIAG[b][:, None] for b in live], axis=1)
         pw = np.concatenate([pw * (probs[b] * sign[b]) for b in live])
         record(s + 1)

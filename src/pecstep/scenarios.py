@@ -369,9 +369,10 @@ def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) 
 
 
 def simulate(
-    cfg: ScenarioConfig, workers: int | None = None
+    cfg: ScenarioConfig, workers: int | sampling.WorkerPool | None = None
 ) -> tuple[TimeSeries, sampling.EnsembleStats | None]:
-    """Ideal evolution plus, when cfg.samples > 0, the Monte Carlo ensemble."""
+    """Ideal evolution plus, when cfg.samples > 0, the Monte Carlo ensemble
+    on `workers` (see sampling.run_ensemble)."""
     plan = build_scenario(cfg)
     series = ideal_evolution(cfg, plan)
     if cfg.samples == 0:

@@ -204,6 +204,32 @@ def test_worker_env_var_does_not_change_csv(tmp_path, monkeypatch):
     assert (serial / "fig1a.csv").read_bytes() == (parallel / "fig1a.csv").read_bytes()
 
 
+
+def test_one_shared_pool_per_invocation_keeps_every_csv(tmp_path, monkeypatch):
+    import pecstep.sampling as sampling
+
+    starts = []
+    executor = sampling.ProcessPoolExecutor
+
+    def counting_executor(*args, **kwargs):
+        starts.append(kwargs)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "ProcessPoolExecutor", counting_executor)
+    monkeypatch.setattr(sampling, "CHUNK", 700)  # three chunks per series
+    argv = ["figure", "fig8", "--samples", "2000", "--seed", "4", "--output"]
+    monkeypatch.setenv("PECSTEP_WORKERS", "1")
+    assert main(argv + [str(tmp_path / "serial")]) == 0
+    assert starts == []
+    monkeypatch.setenv("PECSTEP_WORKERS", "3")
+    assert main(argv + [str(tmp_path / "parallel")]) == 0
+    assert starts == [{"max_workers": 3}]  # one pool for the three series
+    names = sorted(p.name for p in (tmp_path / "serial").glob("*.csv"))
+    assert names == ["fig8_beta0.csv", "fig8_betapi2.csv", "fig8_betapi4.csv"]
+    for name in names:
+        serial = (tmp_path / "serial" / name).read_bytes()
+        assert serial == (tmp_path / "parallel" / name).read_bytes(), name
+
 # depolarizing 0.05 per Pauli at dt = 0.5: gamma = 1.375, so gamma^n leaves
 # the float range past n ~ 2228 (and gamma^2n past n ~ 1114)
 HEAVY_CFG = """\

@@ -310,3 +310,172 @@ def test_mean_state_consistent_with_observable():
     plan = _plan(_fig1a(steps=4))
     stats = run_ensemble(plan, 2000, seed=8)
     assert np.allclose(stats.mean, stats.mean_state[:, 0, 0].real, atol=1e-12)
+
+
+def dense_rotate(rot, v):
+    """The dense kernel rotate: 16 scalar-times-row multiply-adds per step."""
+    out = np.empty_like(v)
+    for i, coeffs in enumerate(rot.tolist()):
+        out[i] = v[0] * coeffs[0]
+        for j in (1, 2, 3):
+            out[i] += v[j] * coeffs[j]
+    return out
+
+
+def dense_ensemble(plan, samples, seed):
+    """Every trajectory at once, one chunk after another, with the dense
+    rotate, searchsorted branch codes and per-trajectory weights: the plain
+    form of the kernel, returning (mean, std ddof=1, mean state coordinates)."""
+    cum, sign = sampling._branch_tables(plan.distribution)
+    u = np.vstack([
+        sampling._chunk_uniforms(seed, c, min(sampling.CHUNK, samples - c * sampling.CHUNK), plan.steps)
+        for c in range(-(-samples // sampling.CHUNK))
+    ])
+    branches = np.searchsorted(cum, u, side="right")
+    v = np.repeat(plan.rho0[:, None], samples, axis=1)
+    w = np.ones(samples)
+    obs, states = [0.5 * (v[0] + v[3])], [v.mean(axis=1)]
+    for s in range(plan.steps):
+        v = sampling.BRANCH_DIAG[branches[:, s]].T * dense_rotate(plan.deterministic, v)
+        w = w * sign[branches[:, s]] * plan.distribution.prefactor
+        obs.append(w * 0.5 * (v[0] + v[3]))
+        states.append((w * v).mean(axis=1))
+    obs = np.array(obs)
+    return obs.mean(axis=1), obs.std(axis=1, ddof=1), np.array(states)
+
+
+def test_sparse_rotate_is_the_dense_sum_bit_for_bit(rng):
+    rot = rng.standard_normal((4, 4))
+    rot[rng.random((4, 4)) < 0.5] = 0.0
+    rot[0] = [1.0, 0.0, 0.0, 0.0]  # copied row
+    rot[2] = 0.0  # all-zero row
+    v = rng.standard_normal((4, 33))
+    out = sampling._rotate(sampling._sparse_rows(rot), v, np.empty_like(v), np.empty(33))
+    assert np.array_equal(out, dense_rotate(rot, v))
+    assert np.array_equal(out[0], v[0]) and not out[2].any()
+
+
+def test_comparison_codes_equal_searchsorted(rng):
+    cum = np.array([0.1, 0.25, 0.25])  # an empty branch: equal thresholds
+    u = np.concatenate([rng.random(1000), cum, [0.0, np.nextafter(0.1, 0)]])
+    codes = sampling._codes(u, cum)
+    assert codes.dtype == np.uint8
+    assert np.array_equal(codes, np.searchsorted(cum, u, side="right"))
+
+
+def _zero_row_config(**kw):
+    # x transfer eigenvalue 1 - 2 (ly + lz) = 0: the step map's x row is all zero
+    return ScenarioConfig(
+        hardware="digital",
+        mitigation="none",
+        device=PauliChannelParams(0.0, 0.25, 0.25),
+        **kw,
+    )
+
+
+def test_all_zero_row_of_the_step_map_matches_the_dense_path():
+    cfg = _zero_row_config(steps=5)
+    plan = _plan(cfg)
+    assert not plan.deterministic[1].any()
+    stats = run_ensemble(plan, 300, seed=4)
+    mean, std, states = dense_ensemble(plan, 300, 4)
+    assert np.allclose(stats.mean, mean, rtol=0, atol=1e-12)
+    assert np.allclose(stats.std, std, rtol=0, atol=1e-12)
+    assert np.allclose(stats.mean_state, pauli_to_density(states), rtol=0, atol=1e-12)
+    got = exhaustive_expectation(plan)
+    assert np.allclose(got.mean, reference_enumeration(plan, 5), rtol=0, atol=1e-12)
+    assert np.allclose(got.mean, ideal_evolution(cfg).ideal, rtol=0, atol=1e-12)
+
+
+def test_kernel_matches_the_dense_path_over_chunks(monkeypatch):
+    monkeypatch.setattr(sampling, "CHUNK", 50)
+    plan = _plan(_fig1a(steps=6))
+    stats = run_ensemble(plan, 130, seed=21)
+    mean, std, states = dense_ensemble(plan, 130, 21)
+    assert np.allclose(stats.mean, mean, rtol=0, atol=1e-12)
+    assert np.allclose(stats.std, std, rtol=0, atol=1e-12)
+    assert np.allclose(stats.mean_state, pauli_to_density(states), rtol=0, atol=1e-12)
+
+
+_ROWS = 40
+
+
+@pytest.mark.parametrize("size", [1, 3, 7, _ROWS - 1])
+@pytest.mark.parametrize("limit", ["SUB_ROWS", "BLOCK_BYTES"])
+def test_sub_block_merge_matches_one_block_and_replays(monkeypatch, limit, size):
+    plan = _plan(_fig1a(steps=6))
+    whole = run_ensemble(plan, _ROWS, seed=17)  # 40 rows: one sub-block
+    # BLOCK_BYTES of `size` rows of uniforms: draws of `size` rows
+    monkeypatch.setattr(sampling, limit, size if limit == "SUB_ROWS" else size * 8 * plan.steps)
+    split = run_ensemble(plan, _ROWS, seed=17)
+    for name in ("mean", "std", "mean_state"):
+        assert np.allclose(getattr(split, name), getattr(whole, name), rtol=0, atol=1e-12), name
+    obs = np.array([run_trajectory(plan, 17, index=i).observable() for i in range(_ROWS)])
+    assert np.allclose(split.mean, obs.mean(axis=0), rtol=0, atol=1e-12)
+    assert np.allclose(split.std, obs.std(axis=0, ddof=1), rtol=0, atol=1e-12)
+
+
+def test_tiny_budget_draws_one_row_at_a_time(monkeypatch):
+    plan = _plan(_fig1a(steps=4))
+    whole = run_ensemble(plan, 9, seed=2)
+    monkeypatch.setattr(sampling, "BLOCK_BYTES", 1)
+    split = run_ensemble(plan, 9, seed=2)
+    assert np.allclose(split.std, whole.std, rtol=0, atol=1e-12)
+    assert np.array_equal(split.mean, whole.mean)
+
+
+def test_sub_block_draws_concatenate_to_the_chunk_block(monkeypatch):
+    steps, samples = 5, 130
+    plan = _plan(_fig1a(steps=steps))
+    draws = []
+    codes = sampling._codes
+
+    def recording_codes(u, cum):
+        draws.append(u.copy())
+        return codes(u, cum)
+
+    monkeypatch.setattr(sampling, "_codes", recording_codes)
+    monkeypatch.setattr(sampling, "CHUNK", 50)
+    monkeypatch.setattr(sampling, "SUB_ROWS", 7)
+    monkeypatch.setattr(sampling, "BLOCK_BYTES", 3 * 8 * steps)
+    run_ensemble(plan, samples, seed=8, workers=1)
+    assert max(len(u) for u in draws) == 3
+    blocks = [sampling._chunk_uniforms(8, c, rows, steps) for c, rows in enumerate((50, 50, 30))]
+    assert np.array_equal(np.vstack(draws), np.vstack(blocks))
+
+
+@pytest.mark.parametrize("rows", [3 * 4096 // 2, 20000, 4 * 4096])
+def test_split_chunk_sums_equal_the_unsplit_sums_bit_for_bit(monkeypatch, rows):
+    # the sub-blocks follow numpy's pairwise summation tree, so the
+    # observable and state sums (hence mean and mean_state) do not move
+    plan = _plan(_fig1a(steps=3))
+    whole = sampling._chunk_stats(plan, 6, 0, rows)
+    monkeypatch.setattr(sampling, "SUB_ROWS", 4096)
+    split = sampling._chunk_stats(plan, 6, 0, rows)
+    assert split[0] == whole[0] == rows
+    assert np.array_equal(split[1], whole[1]) and np.array_equal(split[3], whole[3])
+    assert np.allclose(split[2], whole[2], rtol=1e-13, atol=0)
+
+
+def test_worker_pool_starts_only_when_needed(monkeypatch):
+    starts = []
+    executor = sampling.ProcessPoolExecutor
+
+    def counting_executor(*args, **kwargs):
+        starts.append(kwargs)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "ProcessPoolExecutor", counting_executor)
+    monkeypatch.setattr(sampling, "CHUNK", 100)
+    plan = _plan(_fig1a(steps=3))
+    with sampling.WorkerPool(1) as pool:
+        run_ensemble(plan, 300, seed=1, workers=pool)
+    with sampling.WorkerPool(2) as pool:
+        run_ensemble(plan, 100, seed=1, workers=pool)  # one chunk
+    assert starts == []
+    with sampling.WorkerPool(2) as pool:
+        a = run_ensemble(plan, 300, seed=1, workers=pool)
+        b = run_ensemble(plan, 250, seed=2, workers=pool)
+    assert starts == [{"max_workers": 2}]
+    assert np.array_equal(a.std, run_ensemble(plan, 300, seed=1, workers=1).std)
+    assert np.array_equal(b.mean, run_ensemble(plan, 250, seed=2, workers=1).mean)

@@ -1,5 +1,6 @@
 """The scripts under scripts/, each run as its own process on the source tree."""
 
+import json
 import os
 import subprocess
 import sys
@@ -56,3 +57,34 @@ def test_reproduce_figures_unknown_preset_exits_2(tmp_path):
     proc = _script(tmp_path, "reproduce_figures.py", "--only", "fig99")
     assert proc.returncode == 2
     assert "unknown preset 'fig99'" in proc.stderr and "fig1a" in proc.stderr
+
+
+def _runs(path, workload, walls, rss):
+    lines = [
+        json.dumps({"workload": workload, "seed": seed, "seconds": 24, "trace": 0, "rounds": 9,
+                    "correct": True, "attempted": 10, "failed": 0,
+                    "metrics": {"wall_s": {"value": w, "unit": "s"},
+                                "peak_rss_mb": {"value": rss, "unit": "MB"}}})
+        for seed, w in enumerate(walls, start=1)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_bench_record_summarises_both_sides_and_counts_paired_wins(tmp_path):
+    _runs(tmp_path / "parent.jsonl", "fig1a", [1.0, 1.2, 1.1, 1.3, 0.9], 80.0)
+    _runs(tmp_path / "change.jsonl", "fig1a", [0.8, 0.9, 1.2, 0.7, 0.8], 75.0)
+    out = tmp_path / "BENCH.json"
+    proc = _script(tmp_path, "bench_record.py", "parent.jsonl", "change.jsonl",
+                   "--parent-commit", "aaa", "--change-commit", "bbb", "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(out.read_text())
+    assert rec["parent"] == {"commit": "aaa", "runs": 5}
+    assert rec["change"] == {"commit": "bbb", "runs": 5}
+    assert rec["machine"]["nproc"] >= 1 and rec["machine"]["numpy"]
+    assert "OPENBLAS_NUM_THREADS" in rec["machine"]["blas_thread_variables"]
+    wall = rec["workloads"]["fig1a"]["wall_s"]
+    assert wall["parent"]["median"] == 1.1 and wall["change"]["median"] == 0.8
+    assert wall["parent"]["n"] == wall["change"]["n"] == 5
+    assert wall["parent"]["q1"] <= 1.1 <= wall["parent"]["q3"]
+    assert (wall["pairs"], wall["wins"]) == (5, 4)  # seed 3: 1.2 against 1.1 loses
+    assert rec["workloads"]["fig1a"]["peak_rss_mb"]["wins"] == 5
