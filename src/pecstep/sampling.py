@@ -193,7 +193,7 @@ def _branch_codes(gen: np.random.Generator, cum: np.ndarray, rows: int, steps: i
     of the generator's uniform block.  The uniforms are drawn in order, in
     pieces of at most BLOCK_BYTES, and only their one-byte codes are kept."""
     codes = np.empty((steps, rows), dtype=np.uint8)
-    piece = max(1, BLOCK_BYTES // (8 * steps))
+    piece = max(1, BLOCK_BYTES // (8 * max(steps, 1)))
     for a in range(0, rows, piece):
         u = gen.random((min(piece, rows - a), steps))
         codes[:, a : a + len(u)] = _codes(u, cum).T
@@ -288,7 +288,7 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int):
     rot = _sparse_rows(plan.deterministic)
     flips = _flips(sign)
     gen = np.random.Generator(_philox(seed, chunk))
-    leaf = min(SUB_ROWS, max(1, BLOCK_BYTES // steps))
+    leaf = min(SUB_ROWS, max(1, BLOCK_BYTES // max(steps, 1)))
 
     def stats(n):  # the generator's next n rows
         if n <= leaf:

@@ -301,6 +301,12 @@ def test_worker_count_does_not_change_results(monkeypatch):
     assert np.array_equal(serial.mean_state, parallel.mean_state)
 
 
+def test_zero_step_plan_gives_the_initial_state():
+    plan = replace(_plan(_fig1a()), steps=0)
+    stats = run_ensemble(plan, 5, seed=1)
+    assert np.array_equal(stats.mean, [1.0]) and np.array_equal(stats.std, [0.0])
+
+
 def test_run_ensemble_validates_sample_count():
     with pytest.raises(ValueError):
         run_ensemble(_plan(_fig1a()), 0, seed=1)
