@@ -1,5 +1,5 @@
-"""Golden CSVs: each run below is regenerated through `cli.main` and must
-match its file in tests/golden/ byte for byte.
+"""Golden CSVs and SVGs: each run below is regenerated through `cli.main`
+and must match its files in tests/golden/ byte for byte.
 
 A golden may only be regenerated by a change that says why and tables
 every field that moved.  To regenerate all of them:
@@ -20,14 +20,20 @@ from pecstep.scenarios import diagnostics
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# (argv without --output, CSVs it writes)
+# (argv without --output, files it writes)
 RUNS = {
-    "fig1a": (["figure", "fig1a", "--samples", "20000", "--seed", "3"], ["fig1a.csv"]),
+    "fig1a": (["figure", "fig1a", "--samples", "20000", "--seed", "3", "--svg"],
+              ["fig1a.csv", "fig1a.svg"]),
     "fig2b": (["figure", "fig2b", "--samples", "20000", "--seed", "3"], ["fig2b.csv"]),
     "figB1a": (["figure", "figB1a", "--samples", "20000", "--seed", "3"], ["figB1a.csv"]),
     "fig3": (
         ["figure", "fig3", "--samples", "20000", "--seed", "3"],
         ["fig3_beta0.csv", "fig3_betapi4.csv", "fig3_betapi2.csv"],
+    ),
+    # no reference column, Monte Carlo error bars in the SVG
+    "fig8": (
+        ["figure", "fig8", "--samples", "20000", "--seed", "3", "--svg"],
+        [f"fig8_{beta}.{ext}" for beta in ("beta0", "betapi4", "betapi2") for ext in ("csv", "svg")],
     ),
     "fig1b_k8": (["run", "--config", str(GOLDEN / "fig1b_k8.cfg"), "--samples", "0"],
                  ["fig1b_k8.csv"]),
