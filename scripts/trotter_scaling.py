@@ -9,6 +9,7 @@ Fits the log-log slope, which approaches 2 as dt -> 0.
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from pecstep.scenarios import ScenarioConfig, trotter_error_norm
 
 
 def sweep(label: str, cfg: ScenarioConfig, dts) -> None:
-    errs = [trotter_error_norm(cfg, dt) for dt in dts]
+    errs = [trotter_error_norm(replace(cfg, dt=dt)) for dt in dts]
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     print(f"{label} (beta={cfg.beta:.3f})")
     for dt, err in zip(dts, errs):

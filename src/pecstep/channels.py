@@ -200,20 +200,11 @@ def linear_inverse_coeffs(device: PauliRates, dt: float) -> MitigationCoeffs:
     return exact_inverse_coeffs(eps)
 
 
-def lambda_to_kappa(
-    p: PauliChannelParams, dt: float, mode: str = "exact"
-) -> PauliRates:
-    """Rates kappa such that exp(L_n dt) realizes the channel p.
-
-    mode="exact" solves the channel logarithm (requires a weak channel,
-    lx+ly+lz <= 1/2); mode="first-order" is the linearization kappa = p/dt.
-    """
+def lambda_to_kappa(p: PauliChannelParams, dt: float) -> PauliRates:
+    """Rates kappa such that exp(L_n dt) realizes the channel p: the channel
+    logarithm, which requires a weak channel (lx+ly+lz <= 1/2)."""
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    if mode == "first-order":
-        return PauliRates(p.lx / dt, p.ly / dt, p.lz / dt)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     if p.lx + p.ly + p.lz > 0.5:
         raise ValueError(
             f"lx+ly+lz = {p.lx + p.ly + p.lz} > 1/2: channel too strong for a rate decomposition"

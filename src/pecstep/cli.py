@@ -5,8 +5,9 @@
     pecstep diagnose --config FILE
 
 Worker count for the Monte Carlo ensemble comes from the environment
-variable PECSTEP_WORKERS (default 1); it never changes the results.  An
-invocation starts at most one worker pool, shared by all its series.
+variable PECSTEP_WORKERS (default 1), read here and nowhere else in the
+package; it never changes the results.  An invocation starts at most one
+worker pool, shared by all its series.
 
 Config files are flat `key = value` lines, '#' starts a comment.  Keys:
 
@@ -15,7 +16,7 @@ Config files are flat `key = value` lines, '#' starts a comment.  Keys:
     omega beta dt floats                                  (1.0, 0.0, 0.5)
     steps         int >= 1                                (20)
     samples       int >= 0, 0 = analytic output only      (0)
-    seed          int                                     (0)
+    seed          int >= 0                                (0)
     bias          float > 0, optional sampling deformation
     target_gx/gy/gz   target noise rates, all 0 = closed  (0)
     noise_lx/ly/lz    device channel probabilities (digital)
@@ -27,6 +28,7 @@ Config files are flat `key = value` lines, '#' starts a comment.  Keys:
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -37,8 +39,8 @@ from . import __version__, svg
 from .channels import PauliChannelParams
 from .generators import PauliRates
 from .presets import PRESETS, preset, with_overrides
-from .sampling import WorkerPool, default_workers
-from .scenarios import ScenarioConfig, TimeSeries, diagnostics, resolve_reference, simulate
+from .sampling import WorkerPool
+from .scenarios import ScenarioConfig, TimeSeries, diagnostics, simulate
 
 CSV_HEADER = "step,t,ideal,reference,mc_mean,mc_stderr,fidelity"
 
@@ -155,14 +157,11 @@ def config_echo(cfg: ScenarioConfig) -> dict:
     return echo
 
 
-def write_csv(path, series: TimeSeries, cfg: ScenarioConfig) -> None:
-    """Write the series.  A column `cfg` does not define prints as empty
-    fields ("not applicable"); raises ValueError on NaN in one it defines."""
-    defined = ("ideal", "fidelity")
-    if resolve_reference(cfg) is not None:
-        defined += ("reference",)
-    if cfg.samples > 0:
-        defined += ("mc_mean", "mc_stderr")
+def write_csv(path, series: TimeSeries) -> None:
+    """Write the series.  A column that is None prints as empty fields ("not
+    applicable"); raises ValueError on NaN in any other column."""
+    names = CSV_HEADER.split(",")[2:]
+    defined = [name for name in names if getattr(series, name) is not None]
     for name in defined:
         bad = np.flatnonzero(np.isnan(getattr(series, name)))
         if bad.size:
@@ -170,9 +169,8 @@ def write_csv(path, series: TimeSeries, cfg: ScenarioConfig) -> None:
                 f"{name}: NaN at step {int(series.step[bad[0]])} "
                 f"({bad.size} of {series.step.size} steps); no CSV written to {path}"
             )
-    names = CSV_HEADER.split(",")[2:]
     row = ",".join(["%d", "%.12g"] + ["%.12g" if name in defined else "" for name in names])
-    columns = [series.step, series.t] + [getattr(series, name) for name in names if name in defined]
+    columns = [series.step, series.t] + [getattr(series, name) for name in defined]
     lines = [CSV_HEADER] + [row % values for values in zip(*(c.tolist() for c in columns))]
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -180,11 +178,11 @@ def write_csv(path, series: TimeSeries, cfg: ScenarioConfig) -> None:
 def write_svg(path, title: str, series: TimeSeries) -> None:
     chart = svg.Chart(title=title, xlabel="t", ylabel="excited-state population")
     chart.series.append(svg.Series("ideal", series.t, series.ideal, color="#d95f02"))
-    if np.isfinite(series.reference).any():
+    if series.reference is not None:
         chart.series.append(
             svg.Series("reference", series.t, series.reference, color="#1b9e77", dash="6,4")
         )
-    if np.isfinite(series.mc_mean).any():
+    if series.mc_mean is not None:
         chart.series.append(
             svg.Series(
                 "mc mean",
@@ -198,7 +196,8 @@ def write_svg(path, title: str, series: TimeSeries) -> None:
     svg.write(path, chart)
 
 
-def _run_series(named_configs, out_dir: Path, stem: str, want_svg: bool, workers: int):
+def _run_series(named_configs, out_dir: Path, stem: str, want_svg: bool):
+    workers = max(1, int(os.environ.get("PECSTEP_WORKERS", "1")))
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     outputs = []
@@ -208,7 +207,7 @@ def _run_series(named_configs, out_dir: Path, stem: str, want_svg: bool, workers
             series, _ = simulate(cfg, workers=pool)
             base = stem if not name else f"{stem}_{name}"
             csv_path = out_dir / f"{base}.csv"
-            write_csv(csv_path, series, cfg)
+            write_csv(csv_path, series)
             outputs.append(csv_path.name)
             if want_svg:
                 svg_path = out_dir / f"{base}.svg"
@@ -233,7 +232,7 @@ def cmd_figure(args) -> int:
     configs = [
         (name, with_overrides(cfg, samples=samples, seed=args.seed)) for name, cfg in p.series
     ]
-    outputs = _run_series(configs, Path(args.output), p.id, args.svg, default_workers())
+    outputs = _run_series(configs, Path(args.output), p.id, args.svg)
     for name in outputs:
         print(name)
     return 0
@@ -243,7 +242,7 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     cfg = with_overrides(cfg, samples=args.samples, seed=args.seed)
     stem = Path(args.config).stem
-    outputs = _run_series([("", cfg)], Path(args.output), stem, args.svg, default_workers())
+    outputs = _run_series([("", cfg)], Path(args.output), stem, args.svg)
     for name in outputs:
         print(name)
     return 0

@@ -44,6 +44,16 @@ def pauli_to_density(r: np.ndarray) -> np.ndarray:
     return rho
 
 
+def orbit(maps, r0: np.ndarray) -> np.ndarray:
+    """Pauli coordinates r_0 = r0, r_{n+1} = maps[n] @ r_n, one row per
+    step: the states a sequence of step maps takes r0 through."""
+    r = np.empty((len(maps) + 1, 4))
+    r[0] = r0
+    for n, step in enumerate(maps):
+        r[n + 1] = step @ r[n]
+    return r
+
+
 def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 

@@ -32,18 +32,20 @@ merged back with the centered-moment formula used across chunks, so the
 observable and state sums equal the unsplit ones bit for bit.  A step
 applies only the nonzero coefficients of the deterministic map (_rotate)
 and turns a branch factor -1 into a flip of the sign bit.  run_ensemble
-can run on a WorkerPool shared by many calls, so that one command starts
-at most one process pool.
+runs the chunks in this process, or on a WorkerPool shared by many calls,
+so that one command starts at most one process pool.
+
+Every plan starts from RHO0 = |1><1|, the initial state of every
+experiment here.
 """
 
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import BRANCH_DIAG, SamplingDistribution
-from .linalg import pauli_to_density
+from .linalg import orbit, pauli_to_density
 
 CHUNK = 1 << 16
 SUB_ROWS = 1 << 14  # rows a chunk walks together: their states stay in a 2 MiB L2
@@ -55,8 +57,7 @@ RHO0.setflags(write=False)
 
 @dataclass(frozen=True, eq=False)
 class StepPlan:
-    """One experiment step, repeated `steps` times from the Pauli
-    coordinates rho0.
+    """One experiment step, repeated `steps` times from RHO0.
 
     `deterministic` is the physical step's Pauli-transfer matrix (unitary
     layer then noise channel for digital hardware, one combined exponential
@@ -68,7 +69,6 @@ class StepPlan:
     mitigation: np.ndarray
     distribution: SamplingDistribution
     steps: int
-    rho0: np.ndarray = field(default_factory=lambda: RHO0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,12 +176,7 @@ def run_trajectory(plan: StepPlan, seed: int, index: int = 0) -> TrajectoryResul
     cum, sign = _branch_tables(plan.distribution)
     branches = _codes(u, cum)
     # one real map per branch: the Pauli diagonal after the deterministic step
-    step_maps = BRANCH_DIAG[:, :, None] * plan.deterministic
-
-    r = np.empty((plan.steps + 1, 4))
-    r[0] = plan.rho0
-    for s, b in enumerate(branches):
-        r[s + 1] = step_maps[b] @ r[s]
+    r = orbit((BRANCH_DIAG[:, :, None] * plan.deterministic)[branches], RHO0)
     weights = np.empty(plan.steps + 1)
     weights[0] = 1.0
     np.cumprod(sign[branches] * plan.distribution.prefactor, out=weights[1:])  # sequential, as a loop would
@@ -211,7 +206,7 @@ def _flips(sign: np.ndarray) -> list:
     return [np.flatnonzero(fold[i] != fold[i + 1]).tolist() for i in range(3)]
 
 
-def _block_stats(rot: list, flips: list, codes: np.ndarray, rho0: np.ndarray):
+def _block_stats(rot: list, flips: list, codes: np.ndarray):
     """Partials (rows, s1, m2, sv) of one sub-block, from its step-major
     branch codes: the observable sum, the centered second moment (two-pass,
     which keeps the spread of a constant observable at zero) and the state
@@ -224,7 +219,7 @@ def _block_stats(rot: list, flips: list, codes: np.ndarray, rho0: np.ndarray):
     """
     steps, rows = codes.shape
     v = np.empty((4, rows))
-    v[...] = rho0[:, None]
+    v[...] = RHO0[:, None]
     out = np.empty_like(v)
     tmp = np.empty(rows)
     flip = np.empty(rows, dtype=np.uint64)
@@ -292,19 +287,11 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int):
 
     def stats(n):  # the generator's next n rows
         if n <= leaf:
-            return _block_stats(rot, flips, _branch_codes(gen, cum, n, steps), plan.rho0)
+            return _block_stats(rot, flips, _branch_codes(gen, cum, n, steps))
         half = n // 2 - n // 2 % 8 or n // 2  # numpy's split; halves below 16 rows
         return _merge([stats(half), stats(n - half)])
 
     return stats(rows)
-
-
-def _chunk_stats_star(args):
-    return _chunk_stats(*args)
-
-
-def default_workers() -> int:
-    return max(1, int(os.environ.get("PECSTEP_WORKERS", "1")))
 
 
 class WorkerPool:
@@ -320,11 +307,12 @@ class WorkerPool:
         self._executor = None
 
     def map(self, fn, jobs: list) -> list:
+        """[fn(*job) for job in jobs], in order."""
         if self.workers < 2 or len(jobs) < 2:
-            return [fn(job) for job in jobs]
+            return [fn(*job) for job in jobs]
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        return list(self._executor.map(fn, jobs))
+        return list(self._executor.map(fn, *zip(*jobs)))
 
     def __enter__(self):
         return self
@@ -336,15 +324,14 @@ class WorkerPool:
 
 
 def run_ensemble(
-    plan: StepPlan, samples: int, seed: int, workers: int | WorkerPool | None = None
+    plan: StepPlan, samples: int, seed: int, workers: WorkerPool | None = None
 ) -> EnsembleStats:
     """Ensemble statistics over `samples` independent trajectories.
 
-    `workers` is a WorkerPool to run the chunks on, or a worker count
-    (default: PECSTEP_WORKERS) for a pool that lives only for this call.
-    Deterministic given (seed, samples): chunk partials are merged in chunk
-    order regardless of how many workers computed them.  Raises ValueError
-    when the weight magnitude gamma^steps overflows.
+    `workers` is a WorkerPool to run the chunks on; without one they run in
+    this process.  Deterministic given (seed, samples): chunk partials are
+    merged in chunk order regardless of how many workers computed them.
+    Raises ValueError when the weight magnitude gamma^steps overflows.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -362,11 +349,7 @@ def run_ensemble(
     jobs = [
         (plan, seed, c, min(CHUNK, samples - c * CHUNK)) for c in range(n_chunks)
     ]
-    if isinstance(workers, WorkerPool):
-        partials = workers.map(_chunk_stats_star, jobs)
-    else:
-        with WorkerPool(default_workers() if workers is None else workers) as pool:
-            partials = pool.map(_chunk_stats_star, jobs)
+    partials = (WorkerPool(1) if workers is None else workers).map(_chunk_stats, jobs)
 
     _, s1, m2, sv = _merge(partials)
     mean = s1 / samples
@@ -380,14 +363,14 @@ def run_ensemble(
     )
 
 
-def exhaustive_expectation(plan: StepPlan, steps: int | None = None) -> ExhaustiveResult:
+def exhaustive_expectation(plan: StepPlan) -> ExhaustiveResult:
     """Exact expectation by enumerating all Pauli branch sequences.
 
     Independent of the matrix form of the mitigation map: walks every
     sequence of I/X/Y/Z draws with its probability and signed prefactor.
     Limited to 4^steps branches, steps <= 6.
     """
-    steps = plan.steps if steps is None else steps
+    steps = plan.steps
     if steps > 6:
         raise ValueError(f"exhaustive enumeration limited to 6 steps, got {steps}")
 
@@ -397,7 +380,7 @@ def exhaustive_expectation(plan: StepPlan, steps: int | None = None) -> Exhausti
     live = [b for b in range(4) if probs[b] > 0.0]
     rot = _sparse_rows(plan.deterministic)
 
-    v = plan.rho0[:, None]  # one column per branch sequence
+    v = RHO0[:, None]  # one column per branch sequence
     pw = np.ones(1)  # probability times weight sign of each sequence
     mean = np.empty(steps + 1)
     weight_mean = np.empty(steps + 1)

@@ -10,6 +10,12 @@ map.  The mitigation coefficients are chosen per configuration:
     first-order    q_k = g_k dt - eps_k (per-step device error eps)
     linear-inverse exact inverse of the linearized device channel (analog only)
     none           identity
+
+Every experiment starts from sampling.RHO0 = |1><1|.  The ideal evolution
+steps it through linalg.orbit, the step loop the trajectory replay also
+uses.  A TimeSeries column the configuration does not define is None; the
+CSV and SVG writers go by that alone.  simulate runs the ensemble in this
+process unless it is given a sampling.WorkerPool.
 """
 
 import math
@@ -21,13 +27,12 @@ from . import channels, sampling
 from .channels import MitigationCoeffs, PauliChannelParams
 from .generators import (
     PauliRates,
-    check_density_matrix,
     commutator_norm,
     exact_propagate,  # noqa: F401  (kept importable as pecstep.scenarios.exact_propagate)
     pauli_dissipator,
     unitary_generator,
 )
-from .linalg import expm, frobenius_norm, pauli_to_density
+from .linalg import expm, frobenius_norm, orbit
 
 HARDWARE = ("digital", "analog")
 MITIGATIONS = ("exact", "first-order", "linear-inverse", "none")
@@ -91,6 +96,8 @@ class ScenarioConfig:
             raise ValueError(f"steps: must be >= 1, got {self.steps}")
         if self.samples < 0:
             raise ValueError(f"samples: must be >= 0, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if self.bias is not None:
             if not self.bias > 0:
                 raise ValueError(f"bias: must be > 0, got {self.bias}")
@@ -105,7 +112,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Per-step records; reference/mc columns are NaN where undefined.
+    """Per-step records.  `reference` is None when no closed form applies,
+    `mc_mean` and `mc_stderr` when the config draws no samples.
 
     `negativity` records how far the ideal-evolution state dips below
     positivity (max(0, -det rho)); mitigated averages are allowed to be
@@ -115,9 +123,9 @@ class TimeSeries:
     step: np.ndarray
     t: np.ndarray
     ideal: np.ndarray
-    reference: np.ndarray
-    mc_mean: np.ndarray
-    mc_stderr: np.ndarray
+    reference: np.ndarray | None
+    mc_mean: np.ndarray | None
+    mc_stderr: np.ndarray | None
     fidelity: np.ndarray
     negativity: np.ndarray
 
@@ -130,7 +138,7 @@ def mitigation_coeffs(cfg: ScenarioConfig) -> MitigationCoeffs:
         if cfg.mitigation == "exact":
             if cfg.is_closed_target():
                 return channels.exact_inverse_coeffs(lam)
-            kappa = channels.lambda_to_kappa(lam, cfg.dt, mode="exact")
+            kappa = channels.lambda_to_kappa(lam, cfg.dt)
             return channels.general_exact_coeffs(cfg.target, kappa, cfg.dt)
         return channels.first_order_coeffs(cfg.target, lam.as_tuple(), cfg.dt)
     kappa: PauliRates = cfg.device
@@ -298,9 +306,13 @@ def _reference_params(cfg: ScenarioConfig, kind: str) -> dict:
         params["kappa"] = cfg.target.gx
         return params
     if kind == "approx-digital":
+        if not digital:
+            raise ValueError("reference: approx-digital needs digital hardware")
         params["lam"] = cfg.device.lx
         return params
     if kind == "approx-analog":
+        if digital:
+            raise ValueError("reference: approx-analog needs analog hardware")
         params["kappa"] = cfg.device.gx
         return params
     if kind in ("unmitigated-digital", "biased"):
@@ -312,15 +324,6 @@ def _reference_params(cfg: ScenarioConfig, kind: str) -> dict:
             params["mu_prime"] = (cfg.bias if cfg.bias is not None else 1.0) * unbiased.mu1
         return params
     raise ValueError(f"unknown reference kind {kind!r}")
-
-
-def _orbit(rot: np.ndarray, r0: np.ndarray, steps: int) -> np.ndarray:
-    """Pauli coordinates rot^n r0 for n = 0..steps, one row per step."""
-    r = np.empty((steps + 1, 4))
-    r[0] = r0
-    for n in range(steps):
-        r[n + 1] = rot @ r[n]
-    return r
 
 
 def _det(r: np.ndarray) -> np.ndarray:
@@ -341,9 +344,8 @@ def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) 
     """
     if plan is None:
         plan = build_scenario(cfg)
-    check_density_matrix(pauli_to_density(plan.rho0))
-    r = _orbit(plan.mitigation @ plan.deterministic, plan.rho0, cfg.steps)
-    e = _orbit(_exact_step(cfg), plan.rho0, cfg.steps)
+    r = orbit([plan.mitigation @ plan.deterministic] * cfg.steps, sampling.RHO0)
+    e = orbit([_exact_step(cfg)] * cfg.steps, sampling.RHO0)
 
     # qubit fidelity Tr(rho sigma) + 2 sqrt(det rho det sigma), with
     # Tr(rho sigma) = (t1 t2 + x1 x2 + y1 y2 + z1 z2) / 2; see fidelity()
@@ -352,24 +354,24 @@ def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) 
     fid = overlap + 2.0 * np.sqrt(np.maximum(det_r, 0.0) * np.maximum(det_e, 0.0))
 
     n_rows = cfg.steps + 1
-    reference = np.full(n_rows, np.nan)
+    reference = None
     ref = resolve_reference(cfg)
     if ref is not None:
-        reference[:] = [reference_value(ref[0], n, **ref[1]) for n in range(n_rows)]
+        reference = np.array([reference_value(ref[0], n, **ref[1]) for n in range(n_rows)])
     return TimeSeries(
         step=np.arange(n_rows),
         t=np.arange(n_rows) * cfg.dt,
         ideal=0.5 * (r[:, 0] + r[:, 3]),
         reference=reference,
-        mc_mean=np.full(n_rows, np.nan),
-        mc_stderr=np.full(n_rows, np.nan),
+        mc_mean=None,
+        mc_stderr=None,
         fidelity=fid,
         negativity=np.maximum(0.0, -det_r),
     )
 
 
 def simulate(
-    cfg: ScenarioConfig, workers: int | sampling.WorkerPool | None = None
+    cfg: ScenarioConfig, workers: sampling.WorkerPool | None = None
 ) -> tuple[TimeSeries, sampling.EnsembleStats | None]:
     """Ideal evolution plus, when cfg.samples > 0, the Monte Carlo ensemble
     on `workers` (see sampling.run_ensemble)."""
@@ -382,19 +384,17 @@ def simulate(
     return series, stats
 
 
-def one_step_error_norm(cfg: ScenarioConfig, dt: float | None = None) -> float:
+def one_step_error_norm(cfg: ScenarioConfig) -> float:
     """Frobenius norm of (M C - exp((L_h + L_d) dt)) for a single step."""
-    if dt is not None:
-        cfg = replace(cfg, dt=dt)
     plan = build_scenario(cfg)
     return frobenius_norm(plan.mitigation @ plan.deterministic - _exact_step(cfg))
 
 
-def trotter_error_norm(cfg: ScenarioConfig, dt: float | None = None) -> float:
+def trotter_error_norm(cfg: ScenarioConfig) -> float:
     """One-step splitting error of the exactly mitigated step."""
     if cfg.mitigation != "exact":
         raise ValueError("trotter_error_norm is defined for exact mitigation")
-    return one_step_error_norm(cfg, dt)
+    return one_step_error_norm(cfg)
 
 
 def diagnostics(cfg: ScenarioConfig) -> dict:
@@ -405,7 +405,7 @@ def diagnostics(cfg: ScenarioConfig) -> dict:
     """
     kappa = cfg.device
     if cfg.hardware == "digital":
-        kappa = channels.lambda_to_kappa(cfg.device, cfg.dt, mode="exact")
+        kappa = channels.lambda_to_kappa(cfg.device, cfg.dt)
     unitary = unitary_generator(cfg.omega, cfg.beta)
     target, device = pauli_dissipator(cfg.target), pauli_dissipator(kappa)
     q = mitigation_coeffs(cfg)

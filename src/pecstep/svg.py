@@ -32,11 +32,6 @@ class Chart:
     series: list[Series] = field(default_factory=list)
 
 
-def _finite(values):
-    v = np.asarray(values, dtype=float)
-    return v[np.isfinite(v)]
-
-
 def _ticks(lo: float, hi: float, n: int = 5):
     if hi <= lo:
         hi = lo + 1.0
@@ -53,19 +48,16 @@ def _ticks(lo: float, hi: float, n: int = 5):
 
 
 def render(chart: Chart) -> str:
-    xs = np.concatenate([_finite(s.x) for s in chart.series]) if chart.series else np.array([0.0, 1.0])
+    """The chart as SVG text; it needs at least one series, and every value
+    must be finite."""
+    xs = np.concatenate([np.asarray(s.x, dtype=float) for s in chart.series])
     ys = []
     for s in chart.series:
-        ok = np.isfinite(np.asarray(s.y, dtype=float))
-        ys.append(np.asarray(s.y, dtype=float)[ok])
+        y = np.asarray(s.y, dtype=float)
+        ys.append(y)
         if s.yerr is not None:
-            ys.append(np.asarray(s.y, dtype=float)[ok] + np.asarray(s.yerr, dtype=float)[ok])
-            ys.append(np.asarray(s.y, dtype=float)[ok] - np.asarray(s.yerr, dtype=float)[ok])
-    ys = np.concatenate(ys) if ys else np.array([0.0, 1.0])
-    if xs.size == 0:
-        xs = np.array([0.0, 1.0])
-    if ys.size == 0:
-        ys = np.array([0.0, 1.0])
+            ys += [y + s.yerr, y - s.yerr]
+    ys = np.concatenate(ys)
 
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
@@ -113,25 +105,19 @@ def render(chart: Chart) -> str:
     for s in chart.series:
         x = np.asarray(s.x, dtype=float)
         y = np.asarray(s.y, dtype=float)
-        ok = np.isfinite(x) & np.isfinite(y)
-        if not ok.any():
-            continue
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x[ok], y[ok]))
+        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{s.color}" stroke-width="1.5"{dash}/>'
         )
         if s.yerr is not None:
-            err = np.asarray(s.yerr, dtype=float)
-            for a, b, e in zip(x[ok], y[ok], err[ok]):
-                if not np.isfinite(e):
-                    continue
+            for a, b, e in zip(x, y, s.yerr):
                 parts.append(
                     f'<line x1="{sx(a):.2f}" y1="{sy(b - e):.2f}" '
                     f'x2="{sx(a):.2f}" y2="{sy(b + e):.2f}" stroke="{s.color}"/>'
                 )
         if s.markers:
-            for a, b in zip(x[ok], y[ok]):
+            for a, b in zip(x, y):
                 parts.append(f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="2.5" fill="{s.color}"/>')
         parts.append(
             f'<line x1="{px1 - 130}" y1="{legend_y}" x2="{px1 - 110}" y2="{legend_y}" '

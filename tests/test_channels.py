@@ -235,11 +235,6 @@ def test_lambda_to_kappa_rejects_non_divisible_channel():
         lambda_to_kappa(PauliChannelParams(0.05, 0.05, 0.0), 0.5)
 
 
-def test_lambda_to_kappa_first_order():
-    k = lambda_to_kappa(PauliChannelParams(0.05, 0.05, 0.05), 0.5, mode="first-order")
-    assert np.allclose(k.as_tuple(), [0.1] * 3, atol=1e-15)
-
-
 def test_lambda_to_kappa_rejects_strong_channel():
     with pytest.raises(ValueError):
         lambda_to_kappa(PauliChannelParams(0.3, 0.2, 0.1), 0.5)

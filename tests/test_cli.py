@@ -133,6 +133,15 @@ def test_run_unknown_figure_and_bad_config_exit_nonzero(tmp_path, capsys):
     bad = _write(tmp_path, "bad.cfg", "hardware = digital\nnoise_lx = abc\n")
     assert main(["run", "--config", str(bad), "--output", str(tmp_path)]) == 2
     assert "noise_lx" in capsys.readouterr().err
+    negative_seed = _write(tmp_path, "neg.cfg", "hardware = digital\nseed = -1\n")
+    for argv in (
+        ["run", "--config", str(negative_seed), "--samples", "8"],
+        ["run", "--config", str(negative_seed)],
+        ["figure", "fig5", "--seed", "-1"],
+    ):
+        assert main(argv + ["--output", str(tmp_path)]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: seed: must be >= 0"), argv
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_csv_uses_twelve_significant_digits(tmp_path):
@@ -262,6 +271,19 @@ def test_weight_overflow_exits_with_message(tmp_path, capsys):
     assert not (tmp_path / "heavy.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "hardware, device_key, kind",
+    [("digital", "noise_lx", "approx-analog"), ("analog", "noise_kx", "approx-digital")],
+)
+def test_reference_kind_on_wrong_hardware_exits(tmp_path, capsys, hardware, device_key, kind):
+    cfg = _write(
+        tmp_path, "wrong.cfg", f"hardware = {hardware}\n{device_key} = 0.05\nreference = {kind}\n"
+    )
+    assert main(["run", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: reference: {kind} needs ")
+    assert not (tmp_path / "wrong.csv").exists()
+
+
 def test_allocation_failure_exits_with_message(tmp_path, capsys, monkeypatch):
     def simulate_out_of_memory(cfg, workers=None):
         raise MemoryError("Unable to allocate 2.91 TiB for an array")
@@ -303,7 +325,10 @@ def test_csv_writer_refuses_nan_in_defined_column(
 
     def simulate_with_nan(cfg, workers=None):
         series, stats = simulate(cfg, workers=workers)
-        values = getattr(series, column).copy()
+        values = getattr(series, column)
+        if values is None:  # the config does not define the column
+            return series, stats
+        values = values.copy()
         values[2] = np.nan
         return replace(series, **{column: values}), stats
 

@@ -139,7 +139,7 @@ def test_ideal_evolution_against_oracle_reference_and_ensemble(cfg):
     assert np.abs(ts.ideal - ideal).max() < 1e-12
     assert np.abs(ts.fidelity - fid).max() < 1e-6
 
-    stats = run_ensemble(plan, 4096, seed=cfg.steps, workers=1)
+    stats = run_ensemble(plan, 4096, seed=cfg.steps)
     assert np.all(np.abs(stats.mean - ts.ideal) <= 5.0 * exact_stderr(cfg, plan, 4096) + 1e-12)
 
 

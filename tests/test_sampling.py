@@ -58,7 +58,7 @@ def reference_enumeration(plan, steps):
         np.array([[1, 0], [0, -1]], dtype=complex),
         np.eye(2, dtype=complex),
     ]
-    rho0 = BASIS @ plan.rho0  # column-stacked
+    rho0 = BASIS @ sampling.RHO0  # column-stacked
     means = np.zeros(steps + 1)
     means[0] = rho0[0].real
     det = to_column_stacked(plan.deterministic)
@@ -79,12 +79,11 @@ def reference_enumeration(plan, steps):
 
 
 def test_plan_starts_from_read_only_excited_state():
-    # every plan shares the module-level |1><1| coordinates; they must stay
-    # read-only so no kernel can write through the default
-    plan = _plan(_fig1a())
-    assert plan.rho0.dtype == np.float64
-    assert np.array_equal(plan.rho0, [1, 0, 0, 1])
-    assert not plan.rho0.flags.writeable
+    # every plan starts from the module-level |1><1| coordinates; they must
+    # stay read-only so no kernel can write through them
+    assert sampling.RHO0.dtype == np.float64
+    assert np.array_equal(sampling.RHO0, [1, 0, 0, 1])
+    assert not sampling.RHO0.flags.writeable
 
 
 def test_run_ensemble_bit_identical_across_runs():
@@ -199,7 +198,7 @@ def test_trajectory_weight_magnitude_is_prefactor_product():
 def test_exhaustive_single_step_hand_expansion():
     plan = _plan(_fig1a(steps=1))
     d = plan.distribution
-    rho = unvec(to_column_stacked(plan.deterministic) @ BASIS @ plan.rho0)
+    rho = unvec(to_column_stacked(plan.deterministic) @ BASIS @ sampling.RHO0)
     x = np.array([[0, 1], [1, 0]])
     y = np.array([[0, -1j], [1j, 0]])
     z = np.array([[1, 0], [0, -1]])
@@ -255,7 +254,7 @@ def test_biased_exhaustive_matches_closed_form():
 def test_exhaustive_refuses_deep_plans():
     with pytest.raises(ValueError):
         exhaustive_expectation(_plan(_fig1a(steps=8)))
-    exhaustive_expectation(_plan(_fig1a(steps=8)), steps=4)  # explicit truncation ok
+    exhaustive_expectation(replace(_plan(_fig1a(steps=8)), steps=4))  # a truncated plan is ok
 
 
 def test_stderr_halves_when_samples_quadruple():
@@ -294,8 +293,9 @@ def test_approximate_analog_ensemble_tracks_its_own_limit():
 def test_worker_count_does_not_change_results(monkeypatch):
     monkeypatch.setattr(sampling, "CHUNK", 127)
     plan = _plan(_fig1a(steps=5))
-    serial = run_ensemble(plan, 1000, seed=7, workers=1)
-    parallel = run_ensemble(plan, 1000, seed=7, workers=3)
+    serial = run_ensemble(plan, 1000, seed=7)
+    with sampling.WorkerPool(3) as pool:
+        parallel = run_ensemble(plan, 1000, seed=7, workers=pool)
     assert np.array_equal(serial.mean, parallel.mean)
     assert np.array_equal(serial.std, parallel.std)
     assert np.array_equal(serial.mean_state, parallel.mean_state)
@@ -338,7 +338,7 @@ def dense_ensemble(plan, samples, seed):
         for c in range(-(-samples // sampling.CHUNK))
     ])
     branches = np.searchsorted(cum, u, side="right")
-    v = np.repeat(plan.rho0[:, None], samples, axis=1)
+    v = np.repeat(sampling.RHO0[:, None], samples, axis=1)
     w = np.ones(samples)
     obs, states = [0.5 * (v[0] + v[3])], [v.mean(axis=1)]
     for s in range(plan.steps):
@@ -444,7 +444,7 @@ def test_sub_block_draws_concatenate_to_the_chunk_block(monkeypatch):
     monkeypatch.setattr(sampling, "CHUNK", 50)
     monkeypatch.setattr(sampling, "SUB_ROWS", 7)
     monkeypatch.setattr(sampling, "BLOCK_BYTES", 3 * 8 * steps)
-    run_ensemble(plan, samples, seed=8, workers=1)
+    run_ensemble(plan, samples, seed=8)
     assert max(len(u) for u in draws) == 3
     blocks = [sampling._chunk_uniforms(8, c, rows, steps) for c, rows in enumerate((50, 50, 30))]
     assert np.array_equal(np.vstack(draws), np.vstack(blocks))
@@ -461,6 +461,23 @@ def test_split_chunk_sums_equal_the_unsplit_sums_bit_for_bit(monkeypatch, rows):
     assert split[0] == whole[0] == rows
     assert np.array_equal(split[1], whole[1]) and np.array_equal(split[3], whole[3])
     assert np.allclose(split[2], whole[2], rtol=1e-13, atol=0)
+
+
+def test_run_ensemble_without_a_pool_starts_no_process(monkeypatch):
+    # PECSTEP_WORKERS is the CLI's to read: without a WorkerPool the library
+    # runs every chunk in this process
+    starts = []
+    executor = sampling.ProcessPoolExecutor
+
+    def counting_executor(*args, **kwargs):
+        starts.append(kwargs)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "ProcessPoolExecutor", counting_executor)
+    monkeypatch.setenv("PECSTEP_WORKERS", "2")
+    monkeypatch.setattr(sampling, "CHUNK", 100)
+    run_ensemble(_plan(_fig1a(steps=3)), 300, seed=1)
+    assert starts == []
 
 
 def test_worker_pool_starts_only_when_needed(monkeypatch):
@@ -483,5 +500,5 @@ def test_worker_pool_starts_only_when_needed(monkeypatch):
         a = run_ensemble(plan, 300, seed=1, workers=pool)
         b = run_ensemble(plan, 250, seed=2, workers=pool)
     assert starts == [{"max_workers": 2}]
-    assert np.array_equal(a.std, run_ensemble(plan, 300, seed=1, workers=1).std)
-    assert np.array_equal(b.mean, run_ensemble(plan, 250, seed=2, workers=1).mean)
+    assert np.array_equal(a.std, run_ensemble(plan, 300, seed=1).std)
+    assert np.array_equal(b.mean, run_ensemble(plan, 250, seed=2).mean)

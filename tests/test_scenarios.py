@@ -8,6 +8,7 @@ from pecstep.channels import PauliChannelParams, channel_superop
 from pecstep.generators import PauliRates, pauli_dissipator, unitary_generator
 from pecstep.linalg import expm, max_abs_diff
 from pecstep.presets import PRESETS
+from pecstep.sampling import RHO0
 from pecstep.scenarios import (
     ScenarioConfig,
     biased_predictions,
@@ -62,6 +63,8 @@ def test_config_rejects_bad_scalars():
         ScenarioConfig(hardware="analog", device=PauliRates(), steps=0)
     with pytest.raises(ValueError, match="bias"):
         ScenarioConfig(hardware="analog", device=PauliRates(), bias=-1.0)
+    with pytest.raises(ValueError, match="seed: must be >= 0"):
+        ScenarioConfig(hardware="analog", device=PauliRates(), seed=-1)
     for name in ("omega", "beta", "dt", "bias"):
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=name):
@@ -141,7 +144,7 @@ def test_trace_preserved_at_every_step():
         name, cfg = PRESETS[pid].series[0]
         plan = build_scenario(replace(cfg, samples=0))
         step = plan.mitigation @ plan.deterministic
-        r = plan.rho0
+        r = RHO0
         for _ in range(cfg.steps):
             r = step @ r
             assert abs(r[0] - 1.0) < 1e-12
@@ -249,7 +252,7 @@ def test_trotter_error_digital_open_scales_quadratically():
     cfg = ScenarioConfig(hardware="digital", device=LAM_OPEN, target=GAMMA_X, beta=0.0)
     assert trotter_error_norm(cfg) > 0.0
     dts = np.array([0.25, 0.125, 0.0625, 0.03125])
-    errs = [trotter_error_norm(cfg, dt) for dt in dts]
+    errs = [trotter_error_norm(replace(cfg, dt=dt)) for dt in dts]
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
 
@@ -370,7 +373,7 @@ def test_reference_auto_selection(pid, expected):
 def test_reference_override_none():
     cfg = replace(PRESETS["fig1a"].series[0][1], reference=None, samples=0)
     ts = ideal_evolution(cfg)
-    assert np.isnan(ts.reference).all()
+    assert ts.reference is None
 
 
 def test_simulate_fills_mc_columns():
@@ -380,7 +383,7 @@ def test_simulate_fills_mc_columns():
     assert np.isfinite(ts.mc_mean).all()
     ts2, stats2 = simulate(replace(cfg, samples=0))
     assert stats2 is None
-    assert np.isnan(ts2.mc_mean).all()
+    assert ts2.mc_mean is None and ts2.mc_stderr is None
 
 
 def test_simulate_builds_one_plan_per_series(monkeypatch):
