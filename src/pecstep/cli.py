@@ -26,6 +26,7 @@ Config files are flat `key = value` lines, '#' starts a comment.  Keys:
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -196,8 +197,20 @@ def write_svg(path, title: str, series: TimeSeries) -> None:
     svg.write(path, chart)
 
 
+def _workers() -> int:
+    """The worker count PECSTEP_WORKERS asks for, 1 when it is unset."""
+    raw = os.environ.get("PECSTEP_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"PECSTEP_WORKERS: expected an integer >= 1, got {raw!r}")
+    return workers
+
+
 def _run_series(named_configs, out_dir: Path, stem: str, want_svg: bool):
-    workers = max(1, int(os.environ.get("PECSTEP_WORKERS", "1")))
+    workers = _workers()
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     outputs = []
@@ -270,6 +283,7 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+@functools.cache  # one per process: scripts call main many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pecstep",

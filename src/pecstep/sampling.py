@@ -273,17 +273,21 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int):
     _block_stats).
 
     The chunk is walked in sub-blocks of at most SUB_ROWS rows whose branch
-    codes fit in BLOCK_BYTES.  It is split as numpy's pairwise summation
-    splits a sum (halves rounded down to a multiple of 8) and the partials
-    are merged back up the same tree, so s1 and sv equal the sums over the
-    whole chunk bit for bit; m2 moves by rounding only.
+    codes fit in BLOCK_BYTES, but never fewer than 128 rows (beyond 65536
+    steps the codes exceed BLOCK_BYTES by at most 128 * steps bytes).  It
+    is split as numpy's pairwise summation splits a sum (halves rounded
+    down to a multiple of 8) and the partials are merged back up the same
+    tree.  numpy sums at most 128 values with 8 interleaved accumulators
+    rather than by halves, so with sub-blocks of 128 rows or more every leaf
+    is a node of numpy's own tree: s1 and sv equal the sums over the whole
+    chunk bit for bit, and m2 moves by rounding only.
     """
     steps = plan.steps
     cum, sign = _branch_tables(plan.distribution)
     rot = _sparse_rows(plan.deterministic)
     flips = _flips(sign)
     gen = np.random.Generator(_philox(seed, chunk))
-    leaf = min(SUB_ROWS, max(1, BLOCK_BYTES // max(steps, 1)))
+    leaf = min(SUB_ROWS, max(128, BLOCK_BYTES // max(steps, 1)))
 
     def stats(n):  # the generator's next n rows
         if n <= leaf:

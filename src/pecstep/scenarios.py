@@ -36,14 +36,6 @@ from .linalg import expm, frobenius_norm, orbit
 
 HARDWARE = ("digital", "analog")
 MITIGATIONS = ("exact", "first-order", "linear-inverse", "none")
-REFERENCE_KINDS = (
-    "closed",
-    "damped-depolarizing",
-    "approx-digital",
-    "approx-analog",
-    "unmitigated-digital",
-    "biased",
-)
 
 
 @dataclass(frozen=True)
@@ -251,79 +243,76 @@ def _uniform(values: tuple[float, float, float]) -> bool:
     return values[0] == values[1] == values[2]
 
 
+def _regime(cfg: ScenarioConfig, hardware: str, mitigation: str) -> bool:
+    return (
+        cfg.hardware == hardware
+        and cfg.mitigation == mitigation
+        and _uniform(cfg.device.as_tuple())
+    )
+
+
+# Each closed form: (the regime it was derived for, whether cfg is in it,
+# its parameters besides omega and dt).  "auto" takes the first kind whose
+# regime holds; an explicit kind must be in its own regime.
+_REFERENCES = {
+    "biased": (
+        "digital hardware, exact mitigation, a bias, a closed target"
+        " and uniform channel probabilities",
+        lambda cfg: _regime(cfg, "digital", "exact")
+        and cfg.bias is not None
+        and cfg.is_closed_target(),
+        lambda cfg: {
+            "kappa": cfg.device.lx / cfg.dt,
+            "mu_prime": cfg.bias
+            * channels.sampling_distribution(mitigation_coeffs(cfg), 1.0).mu1,
+        },
+    ),
+    "unmitigated-digital": (
+        "digital hardware, no mitigation and uniform channel probabilities",
+        lambda cfg: _regime(cfg, "digital", "none"),
+        lambda cfg: {"kappa": cfg.device.lx / cfg.dt},
+    ),
+    "approx-digital": (
+        "digital hardware, first-order mitigation, a closed target"
+        " and uniform channel probabilities",
+        lambda cfg: _regime(cfg, "digital", "first-order") and cfg.is_closed_target(),
+        lambda cfg: {"lam": cfg.device.lx},
+    ),
+    "approx-analog": (
+        "analog hardware, linear-inverse mitigation, a closed target and uniform device rates",
+        lambda cfg: _regime(cfg, "analog", "linear-inverse") and cfg.is_closed_target(),
+        lambda cfg: {"kappa": cfg.device.gx},
+    ),
+    "closed": (
+        "a closed target",
+        lambda cfg: cfg.is_closed_target(),
+        lambda cfg: {},
+    ),
+    "damped-depolarizing": (
+        "exact mitigation and uniform target rates",
+        lambda cfg: cfg.mitigation == "exact" and _uniform(cfg.target.as_tuple()),
+        lambda cfg: {"kappa": cfg.target.gx},
+    ),
+}
+REFERENCE_KINDS = tuple(_REFERENCES)
+
+
 def resolve_reference(cfg: ScenarioConfig):
     """Pick the closed-form reference curve for a configuration.
 
-    Returns (kind, params) or None.  Explicit cfg.reference wins; "auto"
-    matches the parameter regimes the closed forms were derived for.
+    Returns (kind, params) or None.  "auto" takes the first kind of
+    REFERENCE_KINDS whose regime the configuration is in, or None; an
+    explicit kind outside its regime raises ValueError.
     """
     if cfg.reference is None:
         return None
+    for kind in REFERENCE_KINDS if cfg.reference == "auto" else (cfg.reference,):
+        needs, holds, params = _REFERENCES[kind]
+        if holds(cfg):
+            return kind, {"omega": cfg.omega, "dt": cfg.dt, **params(cfg)}
     if cfg.reference != "auto":
-        return cfg.reference, _reference_params(cfg, cfg.reference)
-
-    digital = cfg.hardware == "digital"
-    lam = cfg.device.as_tuple() if digital else None
-    kap = cfg.device.as_tuple() if not digital else None
-
-    if (
-        cfg.bias is not None
-        and digital
-        and cfg.mitigation == "exact"
-        and cfg.is_closed_target()
-        and _uniform(lam)
-    ):
-        return "biased", _reference_params(cfg, "biased")
-    if cfg.mitigation == "none" and digital and _uniform(lam):
-        return "unmitigated-digital", _reference_params(cfg, "unmitigated-digital")
-    if (
-        digital
-        and cfg.mitigation == "first-order"
-        and cfg.is_closed_target()
-        and _uniform(lam)
-    ):
-        return "approx-digital", _reference_params(cfg, "approx-digital")
-    if (
-        not digital
-        and cfg.mitigation == "linear-inverse"
-        and cfg.is_closed_target()
-        and _uniform(kap)
-    ):
-        return "approx-analog", _reference_params(cfg, "approx-analog")
-    if cfg.is_closed_target():
-        return "closed", _reference_params(cfg, "closed")
-    if cfg.mitigation == "exact" and _uniform(cfg.target.as_tuple()):
-        return "damped-depolarizing", _reference_params(cfg, "damped-depolarizing")
+        raise ValueError(f"reference: {kind} needs {needs}")
     return None
-
-
-def _reference_params(cfg: ScenarioConfig, kind: str) -> dict:
-    params = {"omega": cfg.omega, "dt": cfg.dt}
-    digital = cfg.hardware == "digital"
-    if kind == "closed":
-        return params
-    if kind == "damped-depolarizing":
-        params["kappa"] = cfg.target.gx
-        return params
-    if kind == "approx-digital":
-        if not digital:
-            raise ValueError("reference: approx-digital needs digital hardware")
-        params["lam"] = cfg.device.lx
-        return params
-    if kind == "approx-analog":
-        if digital:
-            raise ValueError("reference: approx-analog needs analog hardware")
-        params["kappa"] = cfg.device.gx
-        return params
-    if kind in ("unmitigated-digital", "biased"):
-        if not digital or not _uniform(cfg.device.as_tuple()):
-            raise ValueError(f"reference: {kind} needs uniform digital channel probabilities")
-        params["kappa"] = cfg.device.lx / cfg.dt
-        if kind == "biased":
-            unbiased = channels.sampling_distribution(mitigation_coeffs(cfg), 1.0)
-            params["mu_prime"] = (cfg.bias if cfg.bias is not None else 1.0) * unbiased.mu1
-        return params
-    raise ValueError(f"unknown reference kind {kind!r}")
 
 
 def _det(r: np.ndarray) -> np.ndarray:

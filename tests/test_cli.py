@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +288,54 @@ def test_reference_kind_on_wrong_hardware_exits(tmp_path, capsys, hardware, devi
     assert main(["run", "--config", str(cfg), "--output", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: reference: {kind} needs ")
     assert not (tmp_path / "wrong.csv").exists()
+
+
+def test_reference_kind_outside_its_regime_exits(tmp_path, capsys):
+    # approx-digital is the closed form for uniform channel probabilities;
+    # on x noise alone it would print a curve built from noise_lx only
+    cfg = _write(
+        tmp_path,
+        "skewed.cfg",
+        "hardware = digital\nmitigation = first-order\nnoise_lx = 0.1\n"
+        "reference = approx-digital\nsteps = 3\n",
+    )
+    assert main(["run", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: reference: approx-digital needs ")
+    assert not (tmp_path / "skewed.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "abc", ""])
+def test_bad_worker_count_exits_naming_the_variable(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("PECSTEP_WORKERS", value)
+    out = tmp_path / "out"
+    assert main(["figure", "fig1a", "--samples", "10", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: PECSTEP_WORKERS: ")
+    assert not (out / "fig1a.csv").exists()
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_runs_without_scipy(tmp_path):
+    # the library needs numpy alone: a process in which scipy cannot be
+    # imported writes the same CSV as this one
+    argv = ["figure", "fig1a", "--samples", "2000", "--seed", "7", "--output"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + [str(tmp_path / "here")]) == 0
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from pecstep import cli; raise SystemExit(cli.main(sys.argv[1:]))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run(
+        [sys.executable, "-c", code, *argv, str(tmp_path / "alone")],
+        env=env, check=True, capture_output=True,
+    )
+    here = (tmp_path / "here" / "fig1a.csv").read_bytes()
+    assert (tmp_path / "alone" / "fig1a.csv").read_bytes() == here
 
 
 def test_allocation_failure_exits_with_message(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """Property tests over random small configurations: the Pauli-coordinate
 ideal evolution against the exhaustive oracle, a complex column-stacked
-reference and the Monte Carlo ensemble."""
+reference and the Monte Carlo ensemble; and the library's expm against a
+40-digit mpmath expm."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import I2, X, Y, Z, conjugation, lindbladian, pauli_channel, unvec, vec
 from pecstep.channels import PauliChannelParams
-from pecstep.generators import PauliRates
+from pecstep.generators import PauliRates, pauli_dissipator, unitary_generator
+from pecstep.linalg import expm
 from pecstep.sampling import exhaustive_expectation, run_ensemble
 from pecstep.scenarios import ScenarioConfig, build_scenario, fidelity, ideal_evolution
 
@@ -159,3 +162,23 @@ def test_long_horizon_against_reference():
     assert np.abs(ts.ideal[steps] - ideal).max() < 1e-10
     assert np.abs(ts.fidelity[steps] - fid).max() < 1e-6
     assert ts.negativity.max() == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    omega=st.floats(0.0, 5.0),
+    beta=st.floats(-math.pi, math.pi),
+    rates=st.tuples(*[st.floats(0.0, 2.0)] * 3),
+    dt=st.floats(1e-6, 1.0),
+)
+def test_expm_of_library_generators_against_40_digits(omega, beta, rates, dt):
+    # the independent reference is mpmath at 40 digits, rounded once to
+    # double; scipy.linalg.expm is a cross-check, itself off by up to ~4e-14
+    g = (unitary_generator(omega, beta) + pauli_dissipator(PauliRates(*rates))) * dt
+    got = expm(g)
+    assert got.dtype == np.float64
+    with mpmath.workdps(40):
+        exact = np.array(mpmath.expm(mpmath.matrix(g.tolist())).tolist(), dtype=float)
+    assert np.linalg.norm(got - exact) / np.linalg.norm(exact) < 2e-15
+    cross = scipy.linalg.expm(g)
+    assert np.linalg.norm(got - cross) / np.linalg.norm(cross) < 1e-13

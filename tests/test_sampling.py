@@ -430,6 +430,19 @@ def test_tiny_budget_draws_one_row_at_a_time(monkeypatch):
     assert np.array_equal(split.mean, whole.mean)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("pid", ["fig1a", "fig1b", "fig2b", "fig3", "figB1a"])
+def test_tiny_byte_budget_keeps_the_mean_bit_for_bit(monkeypatch, pid, seed):
+    # numpy sums up to 128 values with 8 interleaved accumulators, so a
+    # byte budget of a few rows must not split the chunk below 128 rows
+    plan = _plan(replace(PRESETS[pid].series[0][1], samples=0, steps=4))
+    whole = run_ensemble(plan, 300, seed=seed)
+    monkeypatch.setattr(sampling, "BLOCK_BYTES", 32)
+    split = run_ensemble(plan, 300, seed=seed)
+    assert np.array_equal(split.mean, whole.mean)
+    assert np.array_equal(split.mean_state, whole.mean_state)
+
+
 def test_sub_block_draws_concatenate_to_the_chunk_block(monkeypatch):
     steps, samples = 5, 130
     plan = _plan(_fig1a(steps=steps))
