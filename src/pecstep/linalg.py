@@ -47,20 +47,22 @@ def expm(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expm requires a square matrix, got shape {a.shape}")
-    if not np.any(a[~np.eye(len(a), dtype=bool)]):
+    if np.count_nonzero(a) == np.count_nonzero(a.diagonal()):
         return np.diag(np.exp(np.diag(a)))
-    norm = np.linalg.norm(a, 1)
+    norm = np.abs(a).sum(axis=0).max()  # the 1-norm, as np.linalg.norm(a, 1) computes it
     if not np.isfinite(norm):
         raise ValueError("expm: matrix has non-finite entries")
     ident = np.eye(a.shape[0], dtype=a.dtype)
     a2 = a @ a
     for theta, b in _PADE.values():
         if norm <= theta:
-            powers = [ident, a2]
-            while len(powers) < len(b) // 2:
-                powers.append(powers[-1] @ a2)
-            u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-            v = sum(b[2 * k] * p for k, p in enumerate(powers))
+            u, v, p = b[1] * ident, b[0] * ident, a2
+            for k in range(1, len(b) // 2):
+                if k > 1:
+                    p = p @ a2
+                u += b[2 * k + 1] * p
+                v += b[2 * k] * p
+            u = a @ u
             return np.linalg.solve(v - u, v + u)
     s = max(0, int(np.ceil(np.log2(norm / _THETA13))))
     if s:
