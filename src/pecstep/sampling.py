@@ -171,11 +171,14 @@ def _codes(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
 
 
 def run_trajectory(plan: StepPlan, seed: int, index: int = 0) -> TrajectoryResult:
-    """Simulate the single trajectory `index` of the ensemble (seed, ...)."""
+    """Simulate the single trajectory `index` of the ensemble (seed, ...).
+
+    Each step's branch picks one real map, the Pauli diagonal after the
+    deterministic step, and linalg.orbit runs the sequence in blocked
+    batches of about sqrt(steps) maps."""
     u = _row_uniforms(seed, index, plan.steps)
     cum, sign = _branch_tables(plan.distribution)
     branches = _codes(u, cum)
-    # one real map per branch: the Pauli diagonal after the deterministic step
     r = orbit((BRANCH_DIAG[:, :, None] * plan.deterministic)[branches], RHO0)
     weights = np.empty(plan.steps + 1)
     weights[0] = 1.0

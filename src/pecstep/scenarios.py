@@ -12,8 +12,8 @@ map.  The mitigation coefficients are chosen per configuration:
     none           identity
 
 Every experiment starts from sampling.RHO0 = |1><1|.  The ideal evolution
-steps it through linalg.orbit, the step loop the trajectory replay also
-uses.  A TimeSeries column the configuration does not define is None; the
+steps it through linalg.orbit, the blocked step loop the trajectory
+replay also uses.  A TimeSeries column the configuration does not define is None; the
 CSV and SVG writers go by that alone.  simulate runs the ensemble in this
 process unless it is given a sampling.WorkerPool.
 """
@@ -328,13 +328,15 @@ def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) 
     the fidelity of the mitigated state against it per step.  Both are
     stepped in Pauli coordinates (trace, x, y, z) by one real 4x4 transfer
     matrix each per series: the mitigated step M C, and exp((L_h + L_d) dt)
-    for the target.  `plan` is build_scenario(cfg), built here when not
-    given.
+    for the target.  Each is repeated `steps` times as a broadcast view,
+    not copied, and run through linalg.orbit, the blocked step loop.
+    `plan` is build_scenario(cfg), built here when not given.
     """
     if plan is None:
         plan = build_scenario(cfg)
-    r = orbit([plan.mitigation @ plan.deterministic] * cfg.steps, sampling.RHO0)
-    e = orbit([_exact_step(cfg)] * cfg.steps, sampling.RHO0)
+    shape = (cfg.steps, 4, 4)
+    r = orbit(np.broadcast_to(plan.mitigation @ plan.deterministic, shape), sampling.RHO0)
+    e = orbit(np.broadcast_to(_exact_step(cfg), shape), sampling.RHO0)
 
     # qubit fidelity Tr(rho sigma) + 2 sqrt(det rho det sigma), with
     # Tr(rho sigma) = (t1 t2 + x1 x2 + y1 y2 + z1 z2) / 2; see fidelity()

@@ -69,6 +69,7 @@ def render(chart: Chart) -> str:
     px0, px1 = MARGIN_L, WIDTH - MARGIN_R
     py0, py1 = HEIGHT - MARGIN_B, MARGIN_T
 
+    # scalars (ticks) and arrays (series) alike
     def sx(x):
         return px0 + (x - x0) / (x1 - x0) * (px1 - px0)
 
@@ -103,22 +104,24 @@ def render(chart: Chart) -> str:
 
     legend_y = MARGIN_T + 6
     for s in chart.series:
-        x = np.asarray(s.x, dtype=float)
         y = np.asarray(s.y, dtype=float)
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+        # pixel coordinates as whole-array expressions, formatted from floats
+        px, py = sx(np.asarray(s.x, dtype=float)).tolist(), sy(y).tolist()
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{s.color}" stroke-width="1.5"{dash}/>'
         )
         if s.yerr is not None:
-            for a, b, e in zip(x, y, s.yerr):
+            e = np.asarray(s.yerr, dtype=float)
+            for a, lo, hi in zip(px, sy(y - e).tolist(), sy(y + e).tolist()):
                 parts.append(
-                    f'<line x1="{sx(a):.2f}" y1="{sy(b - e):.2f}" '
-                    f'x2="{sx(a):.2f}" y2="{sy(b + e):.2f}" stroke="{s.color}"/>'
+                    f'<line x1="{a:.2f}" y1="{lo:.2f}" '
+                    f'x2="{a:.2f}" y2="{hi:.2f}" stroke="{s.color}"/>'
                 )
         if s.markers:
-            for a, b in zip(x, y):
-                parts.append(f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="2.5" fill="{s.color}"/>')
+            for a, b in zip(px, py):
+                parts.append(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.5" fill="{s.color}"/>')
         parts.append(
             f'<line x1="{px1 - 130}" y1="{legend_y}" x2="{px1 - 110}" y2="{legend_y}" '
             f'stroke="{s.color}" stroke-width="1.5"{dash}/>'

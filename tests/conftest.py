@@ -96,3 +96,15 @@ def taylor_expm(a, order=40):
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def sequential_orbit(maps, r0, dtype=float):
+    """The step loop one map at a time, r_{n+1} = maps[n] @ r_n: the oracle
+    for linalg.orbit's blocked loop; dtype=np.longdouble gives a reference
+    with more bits on platforms where long double is wider than double."""
+    maps = np.asarray(maps, dtype=dtype)
+    r = np.empty((len(maps) + 1, 4), dtype=dtype)
+    r[0] = r0
+    for n, step in enumerate(maps):
+        r[n + 1] = step @ r[n]
+    return r

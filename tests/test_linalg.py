@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pecstep.generators import PauliRates, pauli_dissipator, unitary_generator
-from pecstep.linalg import expm, frobenius_norm, max_abs_diff, pauli_coords
+from pecstep.linalg import expm, frobenius_norm, max_abs_diff, orbit, pauli_coords
 
 from conftest import (
     BASIS_INV,
@@ -11,9 +11,13 @@ from conftest import (
     Y,
     Z,
     conjugation,
+    lindbladian,
+    pauli_channel,
     random_complex,
     random_density,
+    sequential_orbit,
     taylor_expm,
+    to_pauli_transfer,
     unvec,
     vec,
 )
@@ -172,3 +176,68 @@ def test_norms():
     assert max_abs_diff(X, X) == 0.0
     with pytest.raises(ValueError):
         max_abs_diff(X, np.eye(4))
+
+
+# --- orbit: the blocked step loop against the sequential oracle ---
+
+ORBIT_LENGTHS = (0, 1, 2, 3, 20, 161, 2000)
+
+
+def _physical_maps(rng, n):
+    """n Pauli-transfer maps of physical steps: a noisy rotation followed by
+    one of the Pauli conjugations, as the trajectory replay applies them,
+    drawn from eight random channels.  The maps keep the trace and the
+    maximally mixed state exactly, as the library's do; the reference's
+    rounding there would otherwise drift the trace of both loops alike."""
+    channels = []
+    for _ in range(8):
+        # weak noise, so the states stay far from the maximally mixed one
+        rates = rng.uniform(0.0, 1e-3, size=3)
+        step = pauli_channel(rng.uniform(0.0, 1e-4, size=3)) @ taylor_expm(
+            lindbladian(rng.uniform(0.2, 2.0), rng.uniform(0.0, np.pi), rates) * 0.1)
+        channels += [conjugation(p) @ step for p in (I2, X, Y, Z)]
+    table = np.array([to_pauli_transfer(c).real for c in channels])
+    table[:, 0, :] = table[:, :, 0] = np.eye(4)[0]
+    return table[rng.integers(len(table), size=n)]
+
+
+def _start(rng):
+    return np.concatenate([[1.0], 0.9 * rng.uniform(-0.5, 0.5, size=3)])
+
+
+def _orbit_errors(maps, r0):
+    """orbit's and the sequential loop's largest error against the long
+    double loop, after checking orbit against the float64 loop."""
+    got = orbit(maps, r0)
+    seq = sequential_orbit(maps, r0)
+    assert got.shape == seq.shape == (len(maps) + 1, 4)
+    assert np.array_equal(got[0], r0)
+    assert np.abs(got - seq).max() <= 1e-14
+    exact = sequential_orbit(maps, r0, dtype=np.longdouble)
+    return (float(np.abs(r - exact).max()) for r in (got, seq))
+
+
+@pytest.mark.parametrize("n", ORBIT_LENGTHS)
+def test_orbit_matches_sequential_loop_on_physical_maps(rng, n):
+    err, seq_err = _orbit_errors(_physical_maps(rng, n), _start(rng))
+    assert err <= 1e-14
+    # one unit in the last place is always allowed: the four products of a
+    # row are summed in another order than the sequential loop's matvec
+    assert err <= 2.0 * seq_err + np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", ORBIT_LENGTHS)
+def test_orbit_matches_sequential_loop_on_constant_map(rng, n):
+    (step,) = _physical_maps(rng, 1)
+    r0 = _start(rng)
+    err, _ = _orbit_errors(np.broadcast_to(step, (n, 4, 4)), r0)
+    # absolute bound only: with one map, every block carry applies the same
+    # rounded block product, so its rounding adds up coherently and the
+    # error reaches a few times the sequential loop's (about 4e-15 at 2000)
+    assert err <= 1e-14
+    assert np.array_equal(orbit([step] * n, r0), orbit(np.broadcast_to(step, (n, 4, 4)), r0))
+
+
+def test_orbit_of_no_maps_is_the_start_state():
+    r0 = np.array([1.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(orbit(np.empty((0, 4, 4)), r0), r0[None])

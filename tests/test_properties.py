@@ -1,9 +1,16 @@
 """Property tests over random small configurations: the Pauli-coordinate
 ideal evolution against the exhaustive oracle, a complex column-stacked
-reference and the Monte Carlo ensemble; and the library's expm against a
-40-digit mpmath expm."""
+reference and the Monte Carlo ensemble; the library's expm against a
+40-digit mpmath expm; and the printed columns of `pecstep run` against the
+benchmark's independent Bloch model (bench/checks.py)."""
 
+import contextlib
+import importlib.util
+import io
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -13,11 +20,33 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import I2, X, Y, Z, conjugation, lindbladian, pauli_channel, unvec, vec
+from pecstep import cli
 from pecstep.channels import PauliChannelParams
 from pecstep.generators import PauliRates, pauli_dissipator, unitary_generator
 from pecstep.linalg import expm
 from pecstep.sampling import exhaustive_expectation, run_ensemble
-from pecstep.scenarios import ScenarioConfig, build_scenario, fidelity, ideal_evolution
+from pecstep.scenarios import (
+    REFERENCE_KINDS,
+    ScenarioConfig,
+    build_scenario,
+    fidelity,
+    ideal_evolution,
+    resolve_reference,
+)
+
+
+def _load_bench_checks():
+    """bench/checks.py, imported by path: the benchmark's output checks,
+    which model the physics without the library's code."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = _load_bench_checks()
 
 MITIGATIONS = {
     "digital": ("exact", "first-order", "none"),
@@ -182,3 +211,154 @@ def test_expm_of_library_generators_against_40_digits(omega, beta, rates, dt):
     assert np.linalg.norm(got - exact) / np.linalg.norm(exact) < 2e-15
     cross = scipy.linalg.expm(g)
     assert np.linalg.norm(got - cross) / np.linalg.norm(cross) < 1e-13
+
+
+# --- the CLI boundary: random config files through `pecstep run` ---
+
+
+def _noise(draw, prefix, high):
+    """None, one value for all three axes, or three values, as config keys."""
+    shape = draw(st.sampled_from(("none", "uniform", "random")))
+    if shape == "none":
+        return {}
+    values = _triple(draw, high) if shape == "random" else (draw(st.floats(0.0, high)),) * 3
+    return {prefix + axis: v for axis, v in zip("xyz", values)}
+
+
+@st.composite
+def cli_configs(draw):
+    """A config file's `key = value` pairs, as bench/checks.py reads them,
+    and the loaded configuration."""
+    hardware = draw(st.sampled_from(("digital", "analog")))
+    mitigation = draw(st.sampled_from(MITIGATIONS[hardware]))
+    cfg = {"hardware": hardware, "mitigation": mitigation}
+    cfg.update(_noise(draw, "noise_l" if hardware == "digital" else "noise_k",
+                      0.08 if hardware == "digital" else 0.3))
+    cfg.update(_noise(draw, "target_g", 0.3))
+    cfg.update(omega=draw(st.floats(0.2, 2.0)), beta=draw(st.floats(0.0, math.pi)),
+               dt=draw(st.floats(0.05, 0.8)), steps=draw(st.integers(1, 8)))
+    if mitigation != "none" and draw(st.booleans()):
+        cfg["bias"] = draw(st.floats(0.8, 1.2))
+    try:
+        scenario = cli.config_from_values(
+            cli.parse_config_text(checks.config_text(cfg)))
+        build_scenario(scenario)
+    except ValueError:
+        # e.g. a digital channel with no nonnegative rate decomposition,
+        # which exact mitigation of an open target needs
+        assume(False)
+    picked = resolve_reference(scenario)
+    if picked is not None:
+        cfg["reference"] = draw(st.sampled_from(("auto", picked[0])))
+    return cfg
+
+
+def _run_cli(cfg_text, out_dir: Path) -> int:
+    path = out_dir / "series.cfg"
+    path.write_text(cfg_text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(["run", "--config", str(path), "--samples", "0", "--svg",
+                         "--output", str(out_dir / "out")])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(cli_configs())
+def test_cli_columns_match_independent_model(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert _run_cli(checks.config_text(cfg), Path(tmp)) == 0
+        fails = checks.check_series(checks.read_csv(out / "series.csv"), cfg)
+        fails += checks.check_svg(out / "series.svg")
+    assert fails == []
+
+
+def _defects(cfg):
+    """Single edits that make a valid config invalid, each with the reason."""
+    digital = cfg["hardware"] == "digital"
+    out = [
+        ({"steps": 0}, "steps below 1"),
+        ({"dt": "nan"}, "non-finite dt"),
+        ({"omega": "inf"}, "non-finite omega"),
+        ({"dt": -0.1}, "negative dt"),
+        ({"seed": -1}, "negative seed"),
+        ({"hardware": "quantum"}, "unknown hardware"),
+        ({"colour": "red"}, "unknown key"),
+        ({"reference": "exact"}, "unknown reference kind"),
+        ({"noise_kx" if digital else "noise_lx": 0.1}, "noise key of the other hardware"),
+    ]
+    if digital:
+        out.append(({"mitigation": "linear-inverse"}, "linear-inverse on digital hardware"))
+    if cfg["mitigation"] == "none":
+        out.append(({"bias": 1.1}, "bias without a stochastic step"))
+    else:
+        out.append(({"bias": -1.0}, "negative bias"))
+    return out
+
+
+def _wrong_references(cfg):
+    """Explicit reference kinds whose regime the config is outside; the near
+    misses alone when there are any: kinds for the config's hardware and
+    mitigation that fail only on uniform noise, a closed target or a bias."""
+    cfg = checks.full_config(cfg)
+    wrong = [(kind, need) for kind, need in _REGIMES.items() if not _holds(need, cfg)]
+    near = [(kind, need) for kind, need in wrong
+            if need[0] in (None, cfg["hardware"]) and need[1] in (None, cfg["mitigation"])]
+    return [({"reference": kind}, f"reference {kind} outside its regime")
+            for kind, _ in near or wrong]
+
+
+def _uniform(cfg, prefix):
+    return cfg[prefix + "x"] == cfg[prefix + "y"] == cfg[prefix + "z"]
+
+
+def _closed(cfg):
+    return not any(cfg["target_g" + axis] for axis in "xyz")
+
+
+# where each closed form of the paper applies, written out from the
+# reference kinds' documented preconditions rather than taken from the
+# library: (hardware or None, mitigation or None, the rest of the regime)
+_REGIMES = {
+    "biased": ("digital", "exact",
+               lambda c: c["bias"] is not None and _closed(c) and _uniform(c, "noise_l")),
+    "unmitigated-digital": ("digital", "none", lambda c: _uniform(c, "noise_l")),
+    "approx-digital": ("digital", "first-order",
+                       lambda c: _closed(c) and _uniform(c, "noise_l")),
+    "approx-analog": ("analog", "linear-inverse",
+                      lambda c: _closed(c) and _uniform(c, "noise_k")),
+    "closed": (None, None, _closed),
+    "damped-depolarizing": (None, "exact", lambda c: _uniform(c, "target_g")),
+}
+
+
+def _holds(need, cfg):
+    hardware, mitigation, rest = need
+    return (hardware in (None, cfg["hardware"]) and mitigation in (None, cfg["mitigation"])
+            and rest(cfg))
+
+
+def test_regime_table_names_every_reference_kind():
+    assert sorted(_REGIMES) == sorted(REFERENCE_KINDS)
+
+
+@st.composite
+def invalid_cli_configs(draw):
+    cfg = draw(cli_configs())
+    # half of the cases name a reference kind outside its regime, the
+    # defect an exit-0 run is most likely to hide
+    kinds = _wrong_references(cfg)
+    edit, why = draw(st.sampled_from(kinds if kinds and draw(st.booleans()) else _defects(cfg)))
+    return {**cfg, **edit}, why
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(invalid_cli_configs())
+@example(({"hardware": "digital", "mitigation": "first-order", "noise_lx": 0.1,
+           "reference": "approx-digital", "steps": 3}, "approx-digital on non-uniform noise"))
+@example(({"hardware": "analog", "mitigation": "linear-inverse", "noise_kz": 0.2,
+           "reference": "approx-analog", "steps": 3}, "approx-analog on non-uniform noise"))
+def test_cli_invalid_config_exits_2_without_csv(case):
+    cfg, why = case
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _run_cli(checks.config_text(cfg), Path(tmp)) == 2, why
+        assert not (Path(tmp) / "out" / "series.csv").exists(), why

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import sequential_orbit
 from pecstep.channels import PauliChannelParams, channel_superop
 from pecstep.generators import PauliRates, pauli_dissipator, unitary_generator
 from pecstep.linalg import expm, max_abs_diff
@@ -158,6 +159,21 @@ def test_trace_preserved_at_every_step():
 def test_unbiased_step_map_keeps_trace_exactly(key, cfg):
     plan = build_scenario(cfg)
     assert np.array_equal((plan.mitigation @ plan.deterministic)[0], [1.0, 0.0, 0.0, 0.0])
+
+
+_PRESET_SERIES = [(f"{pid}/{name}" if name else pid, cfg)
+                  for pid, p in sorted(PRESETS.items()) for name, cfg in p.series]
+
+
+@pytest.mark.parametrize("key, cfg", _PRESET_SERIES, ids=[key for key, _ in _PRESET_SERIES])
+def test_ideal_evolution_matches_sequential_loop_over_dt_sweep(key, cfg):
+    # the dt sweep of the benchmark: dt = 0.5/k and 20k steps, t = 10 fixed
+    for k in (1, 2, 4, 8):
+        sweep = replace(cfg, dt=0.5 / k, steps=20 * k, samples=0)
+        plan = build_scenario(sweep)
+        r = sequential_orbit([plan.mitigation @ plan.deterministic] * sweep.steps, RHO0)
+        ideal = ideal_evolution(sweep, plan).ideal
+        assert np.abs(ideal - 0.5 * (r[:, 0] + r[:, 3])).max() <= 1e-13, k
 
 
 # --- reference formulas ---
