@@ -13,9 +13,9 @@ map.  The mitigation coefficients are chosen per configuration:
 
 Every experiment starts from sampling.RHO0 = |1><1|.  The ideal evolution
 steps it through linalg.orbit, the blocked step loop the trajectory
-replay also uses.  A TimeSeries column the configuration does not define is None; the
-CSV and SVG writers go by that alone.  simulate runs the ensemble in this
-process unless it is given a sampling.WorkerPool.
+replay also uses.  A TimeSeries column the configuration does not define
+is None; the CSV and SVG writers go by that alone.  simulate runs the
+ensemble in this process unless it is given a sampling.WorkerPool.
 """
 
 import math

@@ -105,7 +105,7 @@ def render(chart: Chart) -> str:
     legend_y = MARGIN_T + 6
     for s in chart.series:
         y = np.asarray(s.y, dtype=float)
-        # pixel coordinates as whole-array expressions, formatted from floats
+        # one array expression per series; Python floats format faster than numpy scalars
         px, py = sx(np.asarray(s.x, dtype=float)).tolist(), sy(y).tolist()
         pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""

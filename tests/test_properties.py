@@ -227,8 +227,8 @@ def _noise(draw, prefix, high):
 
 @st.composite
 def cli_configs(draw):
-    """A config file's `key = value` pairs, as bench/checks.py reads them,
-    and the loaded configuration."""
+    """A valid config file's `key = value` pairs, as bench/checks.py reads
+    them."""
     hardware = draw(st.sampled_from(("digital", "analog")))
     mitigation = draw(st.sampled_from(MITIGATIONS[hardware]))
     cfg = {"hardware": hardware, "mitigation": mitigation}
@@ -240,8 +240,7 @@ def cli_configs(draw):
     if mitigation != "none" and draw(st.booleans()):
         cfg["bias"] = draw(st.floats(0.8, 1.2))
     try:
-        scenario = cli.config_from_values(
-            cli.parse_config_text(checks.config_text(cfg)))
+        scenario = cli.config_from_values(cli.parse_config_text(checks.config_text(cfg)))
         build_scenario(scenario)
     except ValueError:
         # e.g. a digital channel with no nonnegative rate decomposition,
