@@ -216,17 +216,17 @@ def _run_series(named_configs, out_dir: Path, stem: str, want_svg: bool):
     outputs = []
     configs = []
     with WorkerPool(workers) as pool:  # one pool for every series of the run
-        for name, cfg in named_configs:
-            series, _ = simulate(cfg, workers=pool)
-            base = stem if not name else f"{stem}_{name}"
-            csv_path = out_dir / f"{base}.csv"
-            write_csv(csv_path, series)
-            outputs.append(csv_path.name)
-            if want_svg:
-                svg_path = out_dir / f"{base}.svg"
-                write_svg(svg_path, base, series)
-                outputs.append(svg_path.name)
-            configs.append({"series": name or stem, **config_echo(cfg)})
+        results = simulate([cfg for _, cfg in named_configs], workers=pool)
+    for (name, cfg), (series, _) in zip(named_configs, results):
+        base = stem if not name else f"{stem}_{name}"
+        csv_path = out_dir / f"{base}.csv"
+        write_csv(csv_path, series)
+        outputs.append(csv_path.name)
+        if want_svg:
+            svg_path = out_dir / f"{base}.svg"
+            write_svg(svg_path, base, series)
+            outputs.append(svg_path.name)
+        configs.append({"series": name or stem, **config_echo(cfg)})
     manifest = {
         "artifact": "pecstep",
         "version": __version__,

@@ -137,10 +137,3 @@ def orbit(maps, r0: np.ndarray) -> np.ndarray:
 
 def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
-
-
-def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a - b)))

@@ -21,6 +21,12 @@ worker count.  run_trajectory(plan, seed, i) replays exactly the branch
 sequence of ensemble trajectory i (states agree to floating rounding, the
 weights exactly), drawing only row i of the block.
 
+A plan may stack k deterministic maps, shape (k, 4, 4), for k series that
+share (samples, seed, steps, distribution): they share each chunk's stream
+and its branch codes, which are drawn once and stepped through by every
+map in turn.  Each series' statistics equal those of its own single-map
+plan bit for bit.
+
 Kernel layout: a chunk is walked in sub-blocks of at most SUB_ROWS rows,
 every step of one sub-block before the next, so that its states stay in
 cache.  A sub-block draws its rows of the chunk's uniforms in order, in
@@ -62,7 +68,9 @@ class StepPlan:
     `deterministic` is the physical step's Pauli-transfer matrix (unitary
     layer then noise channel for digital hardware, one combined exponential
     for analog).  `mitigation` is the infinite-sample Pauli-transfer matrix
-    of the sampled mitigation step.
+    of the sampled mitigation step.  Both may carry a leading axis, shape
+    (k, 4, 4), for k series sharing `distribution` and `steps`; only
+    run_ensemble takes such a stacked plan.
     """
 
     deterministic: np.ndarray
@@ -83,13 +91,22 @@ class TrajectoryResult:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleStats:
-    """Per-step statistics of the weighted observable over an ensemble."""
+    """Per-step statistics of the weighted observable over an ensemble.
+
+    The arrays of a stacked plan's statistics carry its leading axis;
+    stats[j] is series j alone.
+    """
 
     samples: int
     mean: np.ndarray
     std: np.ndarray  # sample standard deviation (ddof=1)
     stderr: np.ndarray  # std / sqrt(samples)
     mean_state: np.ndarray  # (steps+1, 2, 2) weighted mean density matrix
+
+    def __getitem__(self, j) -> "EnsembleStats":
+        return EnsembleStats(
+            self.samples, self.mean[j], self.std[j], self.stderr[j], self.mean_state[j]
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,12 +156,6 @@ def _rotate(rows: list, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.n
 
 def _philox(seed: int, chunk: int) -> np.random.Philox:
     return np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
-
-
-def _chunk_uniforms(seed: int, chunk: int, rows: int, steps: int) -> np.ndarray:
-    """The chunk's whole uniform block, row-major, as the reproducibility
-    contract defines it; the ensemble draws the same numbers piecewise."""
-    return np.random.Generator(_philox(seed, chunk)).random((rows, steps))
 
 
 def _row_uniforms(seed: int, index: int, steps: int) -> np.ndarray:
@@ -271,32 +282,34 @@ def _merge(parts):
     return rows, s1, m2, sv
 
 
-def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int):
+def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int) -> list:
     """Partials (rows, s1, m2, sv) of one chunk, in sign-folded units (see
-    _block_stats).
+    _block_stats), one per deterministic map of the plan.
 
     The chunk is walked in sub-blocks of at most SUB_ROWS rows whose branch
     codes fit in BLOCK_BYTES, but never fewer than 128 rows (beyond 65536
-    steps the codes exceed BLOCK_BYTES by at most 128 * steps bytes).  It
+    steps the codes exceed BLOCK_BYTES by at most 128 * steps bytes).  A
+    sub-block's codes are drawn once and every map steps through them.  It
     is split as numpy's pairwise summation splits a sum (halves rounded
-    down to a multiple of 8) and the partials are merged back up the same
-    tree.  numpy sums at most 128 values with 8 interleaved accumulators
-    rather than by halves, so with sub-blocks of 128 rows or more every leaf
-    is a node of numpy's own tree: s1 and sv equal the sums over the whole
-    chunk bit for bit, and m2 moves by rounding only.
+    down to a multiple of 8) and each map's partials are merged back up the
+    same tree.  numpy sums at most 128 values with 8 interleaved
+    accumulators rather than by halves, so with sub-blocks of 128 rows or
+    more every leaf is a node of numpy's own tree: s1 and sv equal the sums
+    over the whole chunk bit for bit, and m2 moves by rounding only.
     """
     steps = plan.steps
     cum, sign = _branch_tables(plan.distribution)
-    rot = _sparse_rows(plan.deterministic)
+    rots = [_sparse_rows(m) for m in np.reshape(plan.deterministic, (-1, 4, 4))]
     flips = _flips(sign)
     gen = np.random.Generator(_philox(seed, chunk))
     leaf = min(SUB_ROWS, max(128, BLOCK_BYTES // max(steps, 1)))
 
     def stats(n):  # the generator's next n rows
         if n <= leaf:
-            return _block_stats(rot, flips, _branch_codes(gen, cum, n, steps))
+            codes = _branch_codes(gen, cum, n, steps)
+            return [_block_stats(rot, flips, codes) for rot in rots]
         half = n // 2 - n // 2 % 8 or n // 2  # numpy's split; halves below 16 rows
-        return _merge([stats(half), stats(n - half)])
+        return [_merge(pair) for pair in zip(stats(half), stats(n - half))]
 
     return stats(rows)
 
@@ -337,8 +350,10 @@ def run_ensemble(
 
     `workers` is a WorkerPool to run the chunks on; without one they run in
     this process.  Deterministic given (seed, samples): chunk partials are
-    merged in chunk order regardless of how many workers computed them.
-    Raises ValueError when the weight magnitude gamma^steps overflows.
+    merged in chunk order regardless of how many workers computed them.  A
+    stacked plan's statistics carry its leading axis, every series drawn
+    from the same codes.  Raises ValueError when the weight magnitude
+    gamma^steps overflows.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -358,9 +373,12 @@ def run_ensemble(
     ]
     partials = (WorkerPool(1) if workers is None else workers).map(_chunk_stats, jobs)
 
-    _, s1, m2, sv = _merge(partials)
+    lead = np.shape(plan.deterministic)[:-2]  # () for a single map
+    merged = [_merge(parts) for parts in zip(*partials)]
+    s1, m2, sv = (np.stack([m[i] for m in merged]).reshape(lead + merged[0][i].shape)
+                  for i in (1, 2, 3))
     mean = s1 / samples
-    std = gamma_n * np.sqrt(m2 / (samples - 1)) if samples > 1 else np.zeros(steps + 1)
+    std = gamma_n * np.sqrt(m2 / (samples - 1)) if samples > 1 else np.zeros_like(s1)
     return EnsembleStats(
         samples=samples,
         mean=gamma_n * mean,

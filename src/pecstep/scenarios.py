@@ -15,7 +15,8 @@ Every experiment starts from sampling.RHO0 = |1><1|.  The ideal evolution
 steps it through linalg.orbit, the blocked step loop the trajectory
 replay also uses.  A TimeSeries column the configuration does not define
 is None; the CSV and SVG writers go by that alone.  simulate runs the
-ensemble in this process unless it is given a sampling.WorkerPool.
+ensembles in this process unless it is given a sampling.WorkerPool, one
+stacked plan per group of configs that share their branch codes.
 """
 
 import math
@@ -362,17 +363,35 @@ def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) 
 
 
 def simulate(
-    cfg: ScenarioConfig, workers: sampling.WorkerPool | None = None
-) -> tuple[TimeSeries, sampling.EnsembleStats | None]:
-    """Ideal evolution plus, when cfg.samples > 0, the Monte Carlo ensemble
-    on `workers` (see sampling.run_ensemble)."""
-    plan = build_scenario(cfg)
-    series = ideal_evolution(cfg, plan)
-    if cfg.samples == 0:
-        return series, None
-    stats = sampling.run_ensemble(plan, cfg.samples, cfg.seed, workers)
-    series = replace(series, mc_mean=stats.mean, mc_stderr=stats.stderr)
-    return series, stats
+    configs: list[ScenarioConfig], workers: sampling.WorkerPool | None = None
+) -> list[tuple[TimeSeries, sampling.EnsembleStats | None]]:
+    """Ideal evolution of each config plus, when its samples > 0, the Monte
+    Carlo ensemble on `workers` (see sampling.run_ensemble), in config order.
+
+    Configs with equal (samples, seed, steps, sampling distribution), such
+    as the series of a beta family, run as one stacked plan: they share
+    each chunk's branch codes, and each result equals its own single-config
+    run bit for bit.
+    """
+    plans = [build_scenario(cfg) for cfg in configs]
+    results = [(ideal_evolution(cfg, plan), None) for cfg, plan in zip(configs, plans)]
+    groups = {}
+    for i, (cfg, plan) in enumerate(zip(configs, plans)):
+        if cfg.samples > 0:
+            key = (cfg.samples, cfg.seed, cfg.steps, plan.distribution)
+            groups.setdefault(key, []).append(i)
+    for (samples, seed, steps, distribution), members in groups.items():
+        stacked = sampling.StepPlan(
+            deterministic=np.stack([plans[i].deterministic for i in members]),
+            mitigation=np.stack([plans[i].mitigation for i in members]),
+            distribution=distribution,
+            steps=steps,
+        )
+        stats = sampling.run_ensemble(stacked, samples, seed, workers)
+        for j, i in enumerate(members):
+            series = replace(results[i][0], mc_mean=stats.mean[j], mc_stderr=stats.stderr[j])
+            results[i] = (series, stats[j])
+    return results
 
 
 def one_step_error_norm(cfg: ScenarioConfig) -> float:

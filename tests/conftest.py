@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import pecstep.sampling as sampling
+
 # Independent complex reference for the library's real Pauli-transfer maps:
 # column-stacked 4x4 superoperators built from Kronecker products, with
 # vec(rho)[2j + i] = rho[i, j], so that vec(A rho B) = (B^T kron A) vec(rho).
@@ -108,3 +110,18 @@ def sequential_orbit(maps, r0, dtype=float):
     for n, step in enumerate(maps):
         r[n + 1] = step @ r[n]
     return r
+
+
+def max_abs_diff(a, b):
+    """Largest elementwise |a - b|; arrays of different shapes raise."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(np.max(np.abs(a - b)))
+
+
+def chunk_uniforms(seed, chunk, rows, steps):
+    """A chunk's whole uniform block, row-major, as sampling's
+    reproducibility contract defines it: the oracle for the ensemble's
+    piecewise draws and the replay's skip-ahead."""
+    return np.random.Generator(sampling._philox(seed, chunk)).random((rows, steps))

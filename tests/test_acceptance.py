@@ -13,7 +13,8 @@ from pecstep.channels import (
     general_exact_coeffs,
 )
 from pecstep.generators import PauliRates, pauli_dissipator
-from pecstep.linalg import expm, max_abs_diff
+from conftest import max_abs_diff
+from pecstep.linalg import expm
 from pecstep.presets import PRESETS
 from pecstep.sampling import exhaustive_expectation
 from pecstep.scenarios import (
@@ -46,7 +47,7 @@ def test_criterion_1_digital_closed_exact():
         cfg = PRESETS["fig1a"].series[0][1]
         assert cfg.samples == 10**6
         start = time.perf_counter()
-        ts, stats = simulate(cfg)
+        [(ts, stats)] = simulate([cfg])
         elapsed = time.perf_counter() - start
 
         assert np.abs(ts.ideal - closed_form(ts.t)).max() <= 1e-12

@@ -23,9 +23,9 @@ from pecstep.channels import (
     transfer_to_coeffs,
 )
 from pecstep.generators import PauliRates, pauli_dissipator
-from pecstep.linalg import expm, max_abs_diff, pauli_coords, pauli_to_density
+from pecstep.linalg import expm, pauli_coords, pauli_to_density
 
-from conftest import random_density
+from conftest import max_abs_diff, random_density
 
 
 # Independent oracles: the closed-form coefficient expressions written out

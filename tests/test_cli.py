@@ -245,6 +245,29 @@ def test_one_shared_pool_per_invocation_keeps_every_csv(tmp_path, monkeypatch):
         serial = (tmp_path / "serial" / name).read_bytes()
         assert serial == (tmp_path / "parallel" / name).read_bytes(), name
 
+
+def test_figure_writes_what_a_run_of_each_series_config_writes(tmp_path, monkeypatch):
+    # the figure's three series share one draw per chunk; each CSV must equal
+    # a run of that series alone, from the config its manifest echoes
+    import pecstep.sampling as sampling
+
+    monkeypatch.setattr(sampling, "CHUNK", 700)  # three chunks per series
+    monkeypatch.setenv("PECSTEP_WORKERS", "2")
+    figure = tmp_path / "figure"
+    argv = ["figure", "fig8", "--samples", "2000", "--seed", "4", "--output", str(figure)]
+    assert main(argv) == 0
+    manifest = json.loads((figure / "fig8.manifest.json").read_text())
+    monkeypatch.setenv("PECSTEP_WORKERS", "1")
+    for echo in manifest["configs"]:
+        name = f"fig8_{echo.pop('series')}"
+        text = "".join(f"{key} = {value}\n" for key, value in echo.items())
+        cfg = _write(tmp_path, f"{name}.cfg", text)
+        assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "runs")]) == 0
+        assert (tmp_path / "runs" / f"{name}.csv").read_bytes() == (
+            figure / f"{name}.csv"
+        ).read_bytes(), name
+
+
 # depolarizing 0.05 per Pauli at dt = 0.5: gamma = 1.375, so gamma^n leaves
 # the float range past n ~ 2228 (and gamma^2n past n ~ 1114)
 HEAVY_CFG = """\
@@ -339,7 +362,7 @@ def test_runs_without_scipy(tmp_path):
 
 
 def test_allocation_failure_exits_with_message(tmp_path, capsys, monkeypatch):
-    def simulate_out_of_memory(cfg, workers=None):
+    def simulate_out_of_memory(configs, workers=None):
         raise MemoryError("Unable to allocate 2.91 TiB for an array")
 
     monkeypatch.setattr(cli, "simulate", simulate_out_of_memory)
@@ -377,14 +400,14 @@ def test_csv_writer_refuses_nan_in_defined_column(
 ):
     simulate = cli.simulate
 
-    def simulate_with_nan(cfg, workers=None):
-        series, stats = simulate(cfg, workers=workers)
+    def simulate_with_nan(configs, workers=None):
+        [(series, stats)] = simulate(configs, workers=workers)
         values = getattr(series, column)
         if values is None:  # the config does not define the column
-            return series, stats
+            return [(series, stats)]
         values = values.copy()
         values[2] = np.nan
-        return replace(series, **{column: values}), stats
+        return [(replace(series, **{column: values}), stats)]
 
     monkeypatch.setattr(cli, "simulate", simulate_with_nan)
     cfg = _write(tmp_path, "unmit.cfg", UNMITIGATED_CFG + extra + "steps = 4\n")

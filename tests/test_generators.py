@@ -17,9 +17,10 @@ from pecstep.channels import (
     channel_superop,
     coeffs_to_superop,
 )
-from pecstep.linalg import expm, max_abs_diff, pauli_coords
+from pecstep.linalg import expm, pauli_coords
 
 from conftest import (
+    max_abs_diff,
     X,
     Y,
     Z,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pecstep.generators import PauliRates, pauli_dissipator, unitary_generator
-from pecstep.linalg import expm, frobenius_norm, max_abs_diff, orbit, pauli_coords
+from pecstep.linalg import expm, frobenius_norm, orbit, pauli_coords
 
 from conftest import (
     BASIS_INV,
@@ -12,6 +12,7 @@ from conftest import (
     Z,
     conjugation,
     lindbladian,
+    max_abs_diff,
     pauli_channel,
     random_complex,
     random_density,

@@ -10,6 +10,7 @@ from conftest import (
     X,
     Y,
     Z,
+    chunk_uniforms,
     conjugation,
     random_density,
     to_column_stacked,
@@ -143,10 +144,10 @@ def test_trajectory_matches_ensemble_row():
 @pytest.mark.parametrize("steps", [1, 2, 3, 5, 7, 20])
 def test_replay_draws_its_row_of_the_chunk_block(steps):
     # the skip-ahead must land on every row offset mod 4 and in later chunks
-    block = sampling._chunk_uniforms(5, 0, 4096, steps)
+    block = chunk_uniforms(5, 0, 4096, steps)
     for row in list(range(9)) + list(range(97, 4096, 97)) + [4095]:
         assert np.array_equal(sampling._row_uniforms(5, row, steps), block[row])
-    block = sampling._chunk_uniforms(5, 1, 1236, steps)
+    block = chunk_uniforms(5, 1, 1236, steps)
     for row in (0, 1, 2, 3, 1235):
         index = sampling.CHUNK + row
         assert np.array_equal(sampling._row_uniforms(5, index, steps), block[row])
@@ -334,7 +335,7 @@ def dense_ensemble(plan, samples, seed):
     form of the kernel, returning (mean, std ddof=1, mean state coordinates)."""
     cum, sign = sampling._branch_tables(plan.distribution)
     u = np.vstack([
-        sampling._chunk_uniforms(seed, c, min(sampling.CHUNK, samples - c * sampling.CHUNK), plan.steps)
+        chunk_uniforms(seed, c, min(sampling.CHUNK, samples - c * sampling.CHUNK), plan.steps)
         for c in range(-(-samples // sampling.CHUNK))
     ])
     branches = np.searchsorted(cum, u, side="right")
@@ -459,7 +460,7 @@ def test_sub_block_draws_concatenate_to_the_chunk_block(monkeypatch):
     monkeypatch.setattr(sampling, "BLOCK_BYTES", 3 * 8 * steps)
     run_ensemble(plan, samples, seed=8)
     assert max(len(u) for u in draws) == 3
-    blocks = [sampling._chunk_uniforms(8, c, rows, steps) for c, rows in enumerate((50, 50, 30))]
+    blocks = [chunk_uniforms(8, c, rows, steps) for c, rows in enumerate((50, 50, 30))]
     assert np.array_equal(np.vstack(draws), np.vstack(blocks))
 
 
@@ -468,9 +469,9 @@ def test_split_chunk_sums_equal_the_unsplit_sums_bit_for_bit(monkeypatch, rows):
     # the sub-blocks follow numpy's pairwise summation tree, so the
     # observable and state sums (hence mean and mean_state) do not move
     plan = _plan(_fig1a(steps=3))
-    whole = sampling._chunk_stats(plan, 6, 0, rows)
+    [whole] = sampling._chunk_stats(plan, 6, 0, rows)
     monkeypatch.setattr(sampling, "SUB_ROWS", 4096)
-    split = sampling._chunk_stats(plan, 6, 0, rows)
+    [split] = sampling._chunk_stats(plan, 6, 0, rows)
     assert split[0] == whole[0] == rows
     assert np.array_equal(split[1], whole[1]) and np.array_equal(split[3], whole[3])
     assert np.allclose(split[2], whole[2], rtol=1e-13, atol=0)
@@ -515,3 +516,44 @@ def test_worker_pool_starts_only_when_needed(monkeypatch):
     assert starts == [{"max_workers": 2}]
     assert np.array_equal(a.std, run_ensemble(plan, 300, seed=1).std)
     assert np.array_equal(b.mean, run_ensemble(plan, 250, seed=2).mean)
+
+
+def _stacked(pid):
+    """The preset family's single-series plans and their stacked plan."""
+    plans = [_plan(cfg) for _, cfg in PRESETS[pid].series]
+    stacked = sampling.StepPlan(
+        deterministic=np.stack([p.deterministic for p in plans]),
+        mitigation=np.stack([p.mitigation for p in plans]),
+        distribution=plans[0].distribution,
+        steps=plans[0].steps,
+    )
+    return plans, stacked
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with sampling.WorkerPool(2) as shared:
+        yield shared
+
+
+@pytest.mark.parametrize("on_pool", [False, True], ids=["in-process", "pool"])
+@pytest.mark.parametrize("samples", [1, 70000, 131073])
+@pytest.mark.parametrize("pid", ["fig3", "fig4", "fig8"])
+def test_stacked_plan_equals_separate_runs_bit_for_bit(pool, pid, samples, on_pool):
+    # a beta family shares its distribution, so its series share the codes
+    plans, stacked = _stacked(pid)
+    assert all(p.distribution == stacked.distribution for p in plans)
+    workers = pool if on_pool else None
+    together = run_ensemble(stacked, samples, seed=5, workers=workers)
+    assert together.mean.shape == (3, stacked.steps + 1)
+    for j, plan in enumerate(plans):
+        alone = run_ensemble(plan, samples, seed=5, workers=workers)
+        for name in ("mean", "std", "stderr", "mean_state"):
+            assert np.array_equal(getattr(together[j], name), getattr(alone, name)), name
+            assert np.array_equal(getattr(together, name)[j], getattr(alone, name)), name
+
+
+def test_single_map_plan_keeps_its_shapes():
+    stats = run_ensemble(_plan(_fig1a(steps=4)), 10, seed=1)
+    assert stats.mean.shape == stats.std.shape == stats.stderr.shape == (5,)
+    assert stats.mean_state.shape == (5, 2, 2)

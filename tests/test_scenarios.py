@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import sequential_orbit
+from conftest import max_abs_diff, sequential_orbit
 from pecstep.channels import PauliChannelParams, channel_superop
 from pecstep.generators import PauliRates, pauli_dissipator, unitary_generator
-from pecstep.linalg import expm, max_abs_diff
+from pecstep.linalg import expm
 from pecstep.presets import PRESETS
 from pecstep.sampling import RHO0
 from pecstep.scenarios import (
@@ -394,10 +394,10 @@ def test_reference_override_none():
 
 def test_simulate_fills_mc_columns():
     cfg = replace(PRESETS["fig1a"].series[0][1], samples=500, steps=5)
-    ts, stats = simulate(cfg)
+    [(ts, stats)] = simulate([cfg])
     assert stats is not None and stats.samples == 500
     assert np.isfinite(ts.mc_mean).all()
-    ts2, stats2 = simulate(replace(cfg, samples=0))
+    [(ts2, stats2)] = simulate([replace(cfg, samples=0)])
     assert stats2 is None
     assert ts2.mc_mean is None and ts2.mc_stderr is None
 
@@ -413,5 +413,66 @@ def test_simulate_builds_one_plan_per_series(monkeypatch):
         return plans[-1]
 
     monkeypatch.setattr(scenarios, "build_scenario", counting_build)
-    simulate(replace(PRESETS["fig1a"].series[0][1], samples=100, steps=3))
+    simulate([replace(PRESETS["fig1a"].series[0][1], samples=100, steps=3)])
     assert len(plans) == 1
+
+
+def test_a_two_chunk_family_draws_one_stream_per_chunk(monkeypatch):
+    # the three fig8 series share (samples, seed, steps, distribution): each
+    # chunk's Philox stream is created once for all of them
+    import pecstep.sampling as sampling
+
+    streams = []
+    philox = sampling._philox
+
+    def counting_philox(seed, chunk):
+        streams.append((seed, chunk))
+        return philox(seed, chunk)
+
+    monkeypatch.setattr(sampling, "CHUNK", 700)
+    monkeypatch.setattr(sampling, "_philox", counting_philox)
+    configs = [replace(cfg, samples=1400, seed=4) for _, cfg in PRESETS["fig8"].series]
+    results = simulate(configs)
+    assert streams == [(4, 0), (4, 1)]
+    for cfg, (series, stats) in zip(configs, results):
+        [(alone, alone_stats)] = simulate([cfg])
+        assert np.array_equal(series.mc_mean, alone.mc_mean)
+        assert np.array_equal(series.mc_stderr, alone.mc_stderr)
+        assert np.array_equal(stats.mean_state, alone_stats.mean_state)
+    assert len(streams) == 2 + 3 * 2
+
+
+def test_simulate_groups_only_configs_that_share_their_draws(monkeypatch):
+    import pecstep.scenarios as scenarios
+
+    calls = []
+    run_ensemble = scenarios.sampling.run_ensemble
+
+    def counting_run_ensemble(plan, samples, seed, workers=None):
+        calls.append(np.shape(plan.deterministic))
+        return run_ensemble(plan, samples, seed, workers)
+
+    base = replace(PRESETS["fig1a"].series[0][1], samples=300, steps=5, seed=2)
+    configs = [
+        base,
+        replace(base, seed=3),
+        replace(base, samples=301),
+        replace(base, steps=6),
+        replace(base, bias=0.97),
+        replace(base, samples=0),
+    ]
+    monkeypatch.setattr(scenarios.sampling, "run_ensemble", counting_run_ensemble)
+    results = simulate(configs)
+    assert calls == [(1, 4, 4)] * 5
+    for cfg, (series, stats) in zip(configs, results):
+        [(alone, alone_stats)] = simulate([cfg])
+        if cfg.samples == 0:
+            assert stats is None and alone_stats is None and series.mc_mean is None
+            continue
+        assert np.array_equal(series.mc_mean, alone.mc_mean)
+        assert np.array_equal(series.mc_stderr, alone.mc_stderr)
+        assert np.array_equal(stats.std, alone_stats.std)
+        assert np.array_equal(stats.mean_state, alone_stats.mean_state)
+    calls.clear()
+    simulate([base, replace(base, beta=0.3), replace(base, omega=2.0)])
+    assert calls == [(3, 4, 4)]  # the Hamiltonian does not enter the draws
