@@ -5,8 +5,8 @@
     pecstep diagnose --config FILE
 
 Worker count for the Monte Carlo ensemble comes from the environment
-variable PECSTEP_WORKERS (default 1), read here and nowhere else in the
-package; it never changes the results.  An invocation starts at most one
+variable PECSTEP_WORKERS (default: the CPUs this process may run on), read
+here and nowhere else in the package; it never changes the results.  An invocation starts at most one
 worker pool, shared by all its series.
 
 Config files are flat `key = value` lines, '#' starts a comment.  Keys:
@@ -198,8 +198,13 @@ def write_svg(path, title: str, series: TimeSeries) -> None:
 
 
 def _workers() -> int:
-    """The worker count PECSTEP_WORKERS asks for, 1 when it is unset."""
-    raw = os.environ.get("PECSTEP_WORKERS", "1")
+    """The worker count PECSTEP_WORKERS asks for; when it is unset, the CPUs
+    this process may run on."""
+    raw = os.environ.get("PECSTEP_WORKERS")
+    if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         workers = int(raw)
     except ValueError:

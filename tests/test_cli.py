@@ -336,6 +336,18 @@ def test_bad_worker_count_exits_naming_the_variable(tmp_path, capsys, monkeypatc
     assert not (out / "fig1a.csv").exists()
 
 
+def test_unset_worker_count_uses_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("PECSTEP_WORKERS", raising=False)
+    assert cli._workers() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._workers() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._workers() == 1
+    monkeypatch.setenv("PECSTEP_WORKERS", "1")
+    assert cli._workers() == 1
+
+
 def test_parser_is_built_once_per_process():
     assert cli.build_parser() is cli.build_parser()
 
