@@ -6,8 +6,8 @@
 
 Worker count for the Monte Carlo ensemble comes from the environment
 variable PECSTEP_WORKERS (default: the CPUs this process may run on), read
-here and nowhere else in the package; it never changes the results.  An invocation starts at most one
-worker pool, shared by all its series.
+here and nowhere else in the package; it never changes the results.  An
+invocation starts at most one worker pool, shared by all its series.
 
 Config files are flat `key = value` lines, '#' starts a comment.  Keys:
 

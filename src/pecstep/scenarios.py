@@ -389,8 +389,8 @@ def simulate(
         )
         stats = sampling.run_ensemble(stacked, samples, seed, workers)
         for j, i in enumerate(members):
-            series = replace(results[i][0], mc_mean=stats.mean[j], mc_stderr=stats.stderr[j])
-            results[i] = (series, stats[j])
+            one = stats[j]
+            results[i] = (replace(results[i][0], mc_mean=one.mean, mc_stderr=one.stderr), one)
     return results
 
 
