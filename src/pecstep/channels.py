@@ -226,20 +226,6 @@ def lambda_to_kappa(p: PauliChannelParams, dt: float) -> PauliRates:
     return PauliRates(*(max(r, 0.0) for r in rates))
 
 
-def kappa_to_lambda(r: PauliRates, dt: float) -> PauliChannelParams:
-    """Channel probabilities of exp(L_n dt) for rates r."""
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    gx, gy, gz = r.as_tuple()
-    e = TransferEigenvalues(
-        ex=math.exp(-2.0 * (gy + gz) * dt),
-        ey=math.exp(-2.0 * (gx + gz) * dt),
-        ez=math.exp(-2.0 * (gx + gy) * dt),
-    )
-    q = transfer_to_coeffs(e)
-    return PauliChannelParams(q.q1, q.q2, q.q3)
-
-
 def _sign(x: float) -> int:
     return -1 if x < 0 else 1
 

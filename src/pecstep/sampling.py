@@ -29,10 +29,12 @@ plan bit for bit.
 
 Kernel layout: a chunk is walked in sub-blocks of at most SUB_ROWS rows,
 every step of one sub-block before the next, so that its states stay in
-cache.  A sub-block draws its rows of the chunk's uniforms in order, in
-pieces of at most BLOCK_BYTES, and keeps only one-byte branch codes per
-draw, step-major; no kernel ever holds a chunk's whole uniform block, so
-memory is bounded however many steps a plan has.  The chunk is split as
+cache.  A sub-block draws its rows of the chunk's uniforms in order,
+through one buffer of at most DRAW_BYTES reused piece after piece, and
+keeps only one-byte branch codes per draw, step-major.  What bounds the
+ensemble's memory is therefore a sub-block's codes (at most BLOCK_BYTES)
+plus that one draw buffer, however many steps a plan has; no kernel ever
+holds a chunk's whole uniform block.  The chunk is split as
 numpy's pairwise summation splits a sum and the sub-block partials are
 merged back with the centered-moment formula used across chunks, so the
 observable and state sums equal the unsplit ones bit for bit.  A step
@@ -55,7 +57,8 @@ from .linalg import orbit, pauli_to_density
 
 CHUNK = 1 << 16
 SUB_ROWS = 1 << 14  # rows a chunk walks together: their states stay in a 2 MiB L2
-BLOCK_BYTES = 1 << 23  # bound on a sub-block's branch codes and on each uniform draw
+BLOCK_BYTES = 1 << 23  # bound on a sub-block's one-byte branch codes
+DRAW_BYTES = 1 << 20  # bound on the reused uniform buffer: it stays in half a 2 MiB L2
 
 RHO0 = np.array([1.0, 0.0, 0.0, 1.0])  # |1><1| in Pauli coordinates
 RHO0.setflags(write=False)
@@ -107,15 +110,6 @@ class EnsembleStats:
         return EnsembleStats(
             self.samples, self.mean[j], self.std[j], self.stderr[j], self.mean_state[j]
         )
-
-
-@dataclass(frozen=True, eq=False)
-class ExhaustiveResult:
-    """Exact branch-enumeration averages (the infinite-sample limit)."""
-
-    mean: np.ndarray
-    weight_mean: np.ndarray  # expected weight per step, ignoring the state
-    mean_state: np.ndarray
 
 
 def _branch_tables(dist: SamplingDistribution):
@@ -199,13 +193,18 @@ def run_trajectory(plan: StepPlan, seed: int, index: int = 0) -> TrajectoryResul
 
 def _branch_codes(gen: np.random.Generator, cum: np.ndarray, rows: int, steps: int) -> np.ndarray:
     """Step-major branch codes, shape (steps, rows), of the next `rows` rows
-    of the generator's uniform block.  The uniforms are drawn in order, in
-    pieces of at most BLOCK_BYTES, and only their one-byte codes are kept."""
+    of the generator's uniform block.  The uniforms are drawn in order into
+    one buffer of at most DRAW_BYTES (or one row), reused piece after piece,
+    and only their one-byte codes are kept: the call holds the codes plus
+    that buffer, however many rows it draws."""
     codes = np.empty((steps, rows), dtype=np.uint8)
-    piece = max(1, BLOCK_BYTES // (8 * max(steps, 1)))
+    piece = min(rows, max(1, DRAW_BYTES // (8 * max(steps, 1))))
+    buf = np.empty(piece * steps)
     for a in range(0, rows, piece):
-        u = gen.random((min(piece, rows - a), steps))
-        codes[:, a : a + len(u)] = _codes(u, cum).T
+        n = min(piece, rows - a)
+        u = buf[: n * steps].reshape(n, steps)
+        gen.random(out=u)
+        codes[:, a : a + n] = _codes(u, cum).T
     return codes
 
 
@@ -387,40 +386,3 @@ def run_ensemble(
         mean_state=pauli_to_density(gamma_n[:, None] * sv / samples),
     )
 
-
-def exhaustive_expectation(plan: StepPlan) -> ExhaustiveResult:
-    """Exact expectation by enumerating all Pauli branch sequences.
-
-    Independent of the matrix form of the mitigation map: walks every
-    sequence of I/X/Y/Z draws with its probability and signed prefactor.
-    Limited to 4^steps branches, steps <= 6.
-    """
-    steps = plan.steps
-    if steps > 6:
-        raise ValueError(f"exhaustive enumeration limited to 6 steps, got {steps}")
-
-    dist = plan.distribution
-    cum, sign = _branch_tables(dist)
-    probs = np.array([dist.mu1, dist.mu2, dist.mu3, 1.0 - cum[-1]])
-    live = [b for b in range(4) if probs[b] > 0.0]
-    rot = _sparse_rows(plan.deterministic)
-
-    v = RHO0[:, None]  # one column per branch sequence
-    pw = np.ones(1)  # probability times weight sign of each sequence
-    mean = np.empty(steps + 1)
-    weight_mean = np.empty(steps + 1)
-    mean_state = np.empty((steps + 1, 2, 2), dtype=complex)
-
-    def record(n):
-        g_n = dist.prefactor**n
-        mean[n] = g_n * (pw * 0.5 * (v[0] + v[3])).sum()
-        weight_mean[n] = g_n * pw.sum()
-        mean_state[n] = pauli_to_density(g_n * (pw * v).sum(axis=1))
-
-    record(0)
-    for s in range(steps):
-        v = _rotate(rot, v, np.empty_like(v), np.empty(v.shape[1]))
-        v = np.concatenate([v * BRANCH_DIAG[b][:, None] for b in live], axis=1)
-        pw = np.concatenate([pw * (probs[b] * sign[b]) for b in live])
-        record(s + 1)
-    return ExhaustiveResult(mean=mean, weight_mean=weight_mean, mean_state=mean_state)

@@ -1,7 +1,12 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 import pecstep.sampling as sampling
+from pecstep.channels import PauliChannelParams, TransferEigenvalues, transfer_to_coeffs
+from pecstep.generators import PauliRates
 
 # Independent complex reference for the library's real Pauli-transfer maps:
 # column-stacked 4x4 superoperators built from Kronecker products, with
@@ -125,3 +130,66 @@ def chunk_uniforms(seed, chunk, rows, steps):
     reproducibility contract defines it: the oracle for the ensemble's
     piecewise draws and the replay's skip-ahead."""
     return np.random.Generator(sampling._philox(seed, chunk)).random((rows, steps))
+
+
+def kappa_to_lambda(r: PauliRates, dt: float) -> PauliChannelParams:
+    """Channel probabilities of exp(L_n dt) for rates r: the inverse of
+    channels.lambda_to_kappa, through the transfer eigenvalues."""
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    gx, gy, gz = r.as_tuple()
+    e = TransferEigenvalues(
+        ex=math.exp(-2.0 * (gy + gz) * dt),
+        ey=math.exp(-2.0 * (gx + gz) * dt),
+        ez=math.exp(-2.0 * (gx + gy) * dt),
+    )
+    q = transfer_to_coeffs(e)
+    return PauliChannelParams(q.q1, q.q2, q.q3)
+
+
+@dataclass(frozen=True, eq=False)
+class ExhaustiveResult:
+    """Exact branch-enumeration averages (the infinite-sample limit)."""
+
+    mean: np.ndarray
+    weight_mean: np.ndarray  # expected weight per step, ignoring the state
+
+
+# Pauli-transfer diagonals of the X, Y, Z and identity branches, from the
+# complex reference above rather than the library's table.
+BRANCH_DIAGONALS = np.array(
+    [np.diag(to_pauli_transfer(conjugation(p))).real for p in (X, Y, Z, I2)]
+)
+
+
+def exhaustive_expectation(plan) -> ExhaustiveResult:
+    """Exact expectation by enumerating all Pauli branch sequences: the
+    infinite-sample oracle for the ensemble.
+
+    Independent of the matrix form of the mitigation map: walks every
+    sequence of X/Y/Z/I draws with its probability and signed prefactor,
+    one dense R @ v step per step.  Limited to 4^steps branches, steps <= 6.
+    """
+    steps = plan.steps
+    if steps > 6:
+        raise ValueError(f"exhaustive enumeration limited to 6 steps, got {steps}")
+
+    dist = plan.distribution
+    mu = dist.mu_tuple()
+    probs = mu + (1.0 - sum(mu),)
+    sign = dist.signs + (1,)
+    live = [b for b in range(4) if probs[b] > 0.0]
+
+    v = sampling.RHO0[:, None]  # one column per branch sequence
+    pw = np.ones(1)  # probability times weight sign of each sequence
+    mean = np.empty(steps + 1)
+    weight_mean = np.empty(steps + 1)
+    for n in range(steps + 1):
+        if n:
+            v = plan.deterministic @ v
+            v = np.concatenate([v * BRANCH_DIAGONALS[b][:, None] for b in live], axis=1)
+            pw = np.concatenate([pw * (probs[b] * sign[b]) for b in live])
+        g_n = dist.prefactor**n
+        mean[n] = g_n * (pw * 0.5 * (v[0] + v[3])).sum()
+        weight_mean[n] = g_n * pw.sum()
+    return ExhaustiveResult(mean=mean, weight_mean=weight_mean)

@@ -13,10 +13,9 @@ from pecstep.channels import (
     general_exact_coeffs,
 )
 from pecstep.generators import PauliRates, pauli_dissipator
-from conftest import max_abs_diff
+from conftest import exhaustive_expectation, max_abs_diff
 from pecstep.linalg import expm
 from pecstep.presets import PRESETS
-from pecstep.sampling import exhaustive_expectation
 from pecstep.scenarios import (
     ScenarioConfig,
     biased_predictions,

@@ -15,7 +15,6 @@ from pecstep.channels import (
     expected_superop,
     first_order_coeffs,
     general_exact_coeffs,
-    kappa_to_lambda,
     lambda_to_kappa,
     lambda_to_transfer,
     linear_inverse_coeffs,
@@ -25,7 +24,7 @@ from pecstep.channels import (
 from pecstep.generators import PauliRates, pauli_dissipator
 from pecstep.linalg import expm, pauli_coords, pauli_to_density
 
-from conftest import max_abs_diff, random_density
+from conftest import kappa_to_lambda, max_abs_diff, random_density
 
 
 # Independent oracles: the closed-form coefficient expressions written out

@@ -19,12 +19,23 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import I2, X, Y, Z, conjugation, lindbladian, pauli_channel, unvec, vec
+from conftest import (
+    I2,
+    X,
+    Y,
+    Z,
+    conjugation,
+    exhaustive_expectation,
+    lindbladian,
+    pauli_channel,
+    unvec,
+    vec,
+)
 from pecstep import cli
 from pecstep.channels import PauliChannelParams
 from pecstep.generators import PauliRates, pauli_dissipator, unitary_generator
 from pecstep.linalg import expm
-from pecstep.sampling import exhaustive_expectation, run_ensemble
+from pecstep.sampling import run_ensemble
 from pecstep.scenarios import (
     REFERENCE_KINDS,
     ScenarioConfig,

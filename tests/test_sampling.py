@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (
     Z,
     chunk_uniforms,
     conjugation,
+    exhaustive_expectation,
     random_density,
     to_column_stacked,
     to_pauli_transfer,
@@ -21,7 +23,7 @@ from pecstep.channels import PauliChannelParams
 from pecstep.generators import check_density_matrix
 from pecstep.linalg import pauli_coords, pauli_to_density
 from pecstep.presets import PRESETS
-from pecstep.sampling import exhaustive_expectation, run_ensemble, run_trajectory
+from pecstep.sampling import run_ensemble, run_trajectory
 from pecstep.scenarios import (
     ScenarioConfig,
     build_scenario,
@@ -408,11 +410,11 @@ _ROWS = 40
 
 
 @pytest.mark.parametrize("size", [1, 3, 7, _ROWS - 1])
-@pytest.mark.parametrize("limit", ["SUB_ROWS", "BLOCK_BYTES"])
+@pytest.mark.parametrize("limit", ["SUB_ROWS", "DRAW_BYTES"])
 def test_sub_block_merge_matches_one_block_and_replays(monkeypatch, limit, size):
     plan = _plan(_fig1a(steps=6))
     whole = run_ensemble(plan, _ROWS, seed=17)  # 40 rows: one sub-block
-    # BLOCK_BYTES of `size` rows of uniforms: draws of `size` rows
+    # DRAW_BYTES of `size` rows of uniforms: draws of `size` rows
     monkeypatch.setattr(sampling, limit, size if limit == "SUB_ROWS" else size * 8 * plan.steps)
     split = run_ensemble(plan, _ROWS, seed=17)
     for name in ("mean", "std", "mean_state"):
@@ -425,7 +427,7 @@ def test_sub_block_merge_matches_one_block_and_replays(monkeypatch, limit, size)
 def test_tiny_budget_draws_one_row_at_a_time(monkeypatch):
     plan = _plan(_fig1a(steps=4))
     whole = run_ensemble(plan, 9, seed=2)
-    monkeypatch.setattr(sampling, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(sampling, "DRAW_BYTES", 1)
     split = run_ensemble(plan, 9, seed=2)
     assert np.allclose(split.std, whole.std, rtol=0, atol=1e-12)
     assert np.array_equal(split.mean, whole.mean)
@@ -435,10 +437,12 @@ def test_tiny_budget_draws_one_row_at_a_time(monkeypatch):
 @pytest.mark.parametrize("pid", ["fig1a", "fig1b", "fig2b", "fig3", "figB1a"])
 def test_tiny_byte_budget_keeps_the_mean_bit_for_bit(monkeypatch, pid, seed):
     # numpy sums up to 128 values with 8 interleaved accumulators, so a
-    # byte budget of a few rows must not split the chunk below 128 rows
+    # byte budget of a few rows must not split the chunk below 128 rows;
+    # the draws are one row each
     plan = _plan(replace(PRESETS[pid].series[0][1], samples=0, steps=4))
     whole = run_ensemble(plan, 300, seed=seed)
     monkeypatch.setattr(sampling, "BLOCK_BYTES", 32)
+    monkeypatch.setattr(sampling, "DRAW_BYTES", 32)
     split = run_ensemble(plan, 300, seed=seed)
     assert np.array_equal(split.mean, whole.mean)
     assert np.array_equal(split.mean_state, whole.mean_state)
@@ -457,11 +461,53 @@ def test_sub_block_draws_concatenate_to_the_chunk_block(monkeypatch):
     monkeypatch.setattr(sampling, "_codes", recording_codes)
     monkeypatch.setattr(sampling, "CHUNK", 50)
     monkeypatch.setattr(sampling, "SUB_ROWS", 7)
-    monkeypatch.setattr(sampling, "BLOCK_BYTES", 3 * 8 * steps)
+    monkeypatch.setattr(sampling, "DRAW_BYTES", 3 * 8 * steps)
     run_ensemble(plan, samples, seed=8)
     assert max(len(u) for u in draws) == 3
     blocks = [chunk_uniforms(8, c, rows, steps) for c, rows in enumerate((50, 50, 30))]
     assert np.array_equal(np.vstack(draws), np.vstack(blocks))
+
+
+def _long_plan():
+    # the long_horizon shape: 2000 steps of weak depolarizing digital noise
+    cfg = ScenarioConfig(
+        hardware="digital",
+        mitigation="exact",
+        device=PauliChannelParams(5e-4, 5e-4, 5e-4),
+        beta=0.7,
+        dt=0.01,
+        steps=2000,
+    )
+    return _plan(cfg)
+
+
+def test_ensemble_memory_is_the_codes_plus_one_draw_buffer():
+    # a 4096-row leaf holds 7.8 MiB of one-byte codes; the uniforms pass
+    # through one reused buffer of DRAW_BYTES
+    plan = _long_plan()
+    tracemalloc.start()
+    try:
+        run_ensemble(plan, 4096, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("steps, samples", [(2000, 4096), (20, 40000)])
+def test_no_uniform_draw_exceeds_the_draw_bound(monkeypatch, steps, samples):
+    plan = _long_plan() if steps == 2000 else _plan(_fig1a(steps=steps))
+    sizes = []
+    codes = sampling._codes
+
+    def recording_codes(u, cum):
+        sizes.append(u.nbytes)
+        return codes(u, cum)
+
+    monkeypatch.setattr(sampling, "_codes", recording_codes)
+    run_ensemble(plan, samples, seed=3)
+    assert sum(sizes) == 8 * samples * steps
+    assert max(sizes) <= sampling.DRAW_BYTES
 
 
 @pytest.mark.parametrize("rows", [3 * 4096 // 2, 20000, 4 * 4096])
