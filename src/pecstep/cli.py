@@ -160,14 +160,16 @@ def config_echo(cfg: ScenarioConfig) -> dict:
 
 def write_csv(path, series: TimeSeries) -> None:
     """Write the series.  A column that is None prints as empty fields ("not
-    applicable"); raises ValueError on NaN in any other column."""
+    applicable"); raises ValueError on NaN or inf in any other column."""
     names = CSV_HEADER.split(",")[2:]
     defined = [name for name in names if getattr(series, name) is not None]
     for name in defined:
-        bad = np.flatnonzero(np.isnan(getattr(series, name)))
+        values = getattr(series, name)
+        bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
+            first = "NaN" if np.isnan(values[bad[0]]) else f"{values[bad[0]]:g}"
             raise ValueError(
-                f"{name}: NaN at step {int(series.step[bad[0]])} "
+                f"{name}: {first} at step {int(series.step[bad[0]])} "
                 f"({bad.size} of {series.step.size} steps); no CSV written to {path}"
             )
     row = ",".join(["%d", "%.12g"] + ["%.12g" if name in defined else "" for name in names])

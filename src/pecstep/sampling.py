@@ -37,7 +37,7 @@ plus that one draw buffer, however many steps a plan has; no kernel ever
 holds a chunk's whole uniform block.  The chunk is split as
 numpy's pairwise summation splits a sum and the sub-block partials are
 merged back with the centered-moment formula used across chunks, so the
-observable and state sums equal the unsplit ones bit for bit.  A step
+observable sums s1 equal the unsplit ones bit for bit.  A step
 applies only the nonzero coefficients of the deterministic map (_rotate)
 and turns a branch factor -1 into a flip of the sign bit.  run_ensemble
 runs the chunks in this process, or on a WorkerPool shared by many calls,
@@ -104,12 +104,9 @@ class EnsembleStats:
     mean: np.ndarray
     std: np.ndarray  # sample standard deviation (ddof=1)
     stderr: np.ndarray  # std / sqrt(samples)
-    mean_state: np.ndarray  # (steps+1, 2, 2) weighted mean density matrix
 
     def __getitem__(self, j) -> "EnsembleStats":
-        return EnsembleStats(
-            self.samples, self.mean[j], self.std[j], self.stderr[j], self.mean_state[j]
-        )
+        return EnsembleStats(self.samples, self.mean[j], self.std[j], self.stderr[j])
 
 
 def _branch_tables(dist: SamplingDistribution):
@@ -220,10 +217,10 @@ def _flips(sign: np.ndarray) -> list:
 
 
 def _block_stats(rot: list, flips: list, codes: np.ndarray):
-    """Partials (rows, s1, m2, sv) of one sub-block, from its step-major
-    branch codes: the observable sum, the centered second moment (two-pass,
-    which keeps the spread of a constant observable at zero) and the state
-    sum in Pauli coordinates, per step.
+    """Partials (rows, s1, m2) of one sub-block, from its step-major
+    branch codes: the observable sum s1 and its centered second moment m2
+    (two-pass, which keeps the spread of a constant observable at zero), per
+    step.
 
     Each column of v holds sign(w_n) * (trace, x, y, z) of its trajectory:
     a branch multiplies the state by its Pauli diagonal times its weight
@@ -238,7 +235,6 @@ def _block_stats(rot: list, flips: list, codes: np.ndarray):
     flip = np.empty(rows, dtype=np.uint64)
     s1 = np.zeros(steps + 1)
     m2 = np.zeros(steps + 1)
-    sv = np.zeros((steps + 1, 4))
 
     def record(step):
         obs = np.add(v[0], v[3], out=tmp)
@@ -247,7 +243,6 @@ def _block_stats(rot: list, flips: list, codes: np.ndarray):
         obs -= s1[step] / rows
         obs *= obs
         m2[step] = obs.sum()
-        sv[step] = v.sum(axis=1)
 
     record(0)
     for s in range(steps):
@@ -261,28 +256,26 @@ def _block_stats(rot: list, flips: list, codes: np.ndarray):
                     bits[k] ^= flip
         v, out = out, v
         record(s + 1)
-    return rows, s1, m2, sv
+    return rows, s1, m2
 
 
 def _merge(parts):
-    """Merge (rows, s1, m2, sv) partials of disjoint row sets, in order: the
-    sums add, and the centered moments combine as
+    """Merge (rows, s1, m2) partials of disjoint row sets, in order: the
+    sums s1 add, and the centered moments m2 combine as
     sum (x - mean)^2 = sum_c [M2_c + n_c (mean_c - mean)^2]."""
     rows = sum(p[0] for p in parts)
     s1 = np.zeros_like(parts[0][1])
-    sv = np.zeros_like(parts[0][3])
-    for _, p1, _, pv in parts:
+    for _, p1, _ in parts:
         s1 += p1
-        sv += pv
     mean = s1 / rows
     m2 = np.zeros_like(s1)
-    for n, p1, pm2, _ in parts:
+    for n, p1, pm2 in parts:
         m2 += pm2 + n * (p1 / n - mean) ** 2
-    return rows, s1, m2, sv
+    return rows, s1, m2
 
 
 def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int) -> list:
-    """Partials (rows, s1, m2, sv) of one chunk, in sign-folded units (see
+    """Partials (rows, s1, m2) of one chunk, in sign-folded units (see
     _block_stats), one per deterministic map of the plan.
 
     The chunk is walked in sub-blocks of at most SUB_ROWS rows whose branch
@@ -293,8 +286,8 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int) -> list:
     down to a multiple of 8) and each map's partials are merged back up the
     same tree.  numpy sums at most 128 values with 8 interleaved
     accumulators rather than by halves, so with sub-blocks of 128 rows or
-    more every leaf is a node of numpy's own tree: s1 and sv equal the sums
-    over the whole chunk bit for bit, and m2 moves by rounding only.
+    more every leaf is a node of numpy's own tree: s1 equals the sum over
+    the whole chunk bit for bit, and m2 moves by rounding only.
     """
     steps = plan.steps
     cum, sign = _branch_tables(plan.distribution)
@@ -374,8 +367,7 @@ def run_ensemble(
 
     lead = np.shape(plan.deterministic)[:-2]  # () for a single map
     merged = [_merge(parts) for parts in zip(*partials)]
-    s1, m2, sv = (np.stack([m[i] for m in merged]).reshape(lead + merged[0][i].shape)
-                  for i in (1, 2, 3))
+    s1, m2 = (np.stack([m[i] for m in merged]).reshape(lead + (steps + 1,)) for i in (1, 2))
     mean = s1 / samples
     std = gamma_n * np.sqrt(m2 / (samples - 1)) if samples > 1 else np.zeros_like(s1)
     return EnsembleStats(
@@ -383,6 +375,5 @@ def run_ensemble(
         mean=gamma_n * mean,
         std=std,
         stderr=std / np.sqrt(samples),
-        mean_state=pauli_to_density(gamma_n[:, None] * sv / samples),
     )
 

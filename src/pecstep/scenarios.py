@@ -106,12 +106,7 @@ class ScenarioConfig:
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Per-step records.  `reference` is None when no closed form applies,
-    `mc_mean` and `mc_stderr` when the config draws no samples.
-
-    `negativity` records how far the ideal-evolution state dips below
-    positivity (max(0, -det rho)); mitigated averages are allowed to be
-    non-physical and this is where that shows up.
-    """
+    `mc_mean` and `mc_stderr` when the config draws no samples."""
 
     step: np.ndarray
     t: np.ndarray
@@ -120,7 +115,6 @@ class TimeSeries:
     mc_mean: np.ndarray | None
     mc_stderr: np.ndarray | None
     fidelity: np.ndarray
-    negativity: np.ndarray
 
 
 def mitigation_coeffs(cfg: ScenarioConfig) -> MitigationCoeffs:
@@ -172,19 +166,6 @@ def _exact_step(cfg: ScenarioConfig) -> np.ndarray:
     return expm(generator * cfg.dt)
 
 
-def fidelity(r1: np.ndarray, r2: np.ndarray) -> float:
-    """Qubit fidelity Tr(r1 r2) + 2 sqrt(det r1 det r2).
-
-    Determinants of slightly non-physical averaged states are clamped at 0;
-    larger negativity is surfaced via TimeSeries.negativity, not hidden here.
-    """
-    r1, r2 = np.asarray(r1, dtype=complex), np.asarray(r2, dtype=complex)
-    overlap = np.trace(r1 @ r2).real
-    d1 = max(np.linalg.det(r1).real, 0.0)
-    d2 = max(np.linalg.det(r2).real, 0.0)
-    return float(overlap + 2.0 * math.sqrt(d1 * d2))
-
-
 def reference_value(
     kind: str,
     n: int,
@@ -205,23 +186,30 @@ def reference_value(
       unmitigated-digital    -- kappa: rate such that the per-step channel is kappa*dt
       biased                 -- kappa as above plus mu_prime, the deformed
                                 Pauli sampling probability
+
+    Raises ValueError when the value overflows the float range.
     """
     t = n * dt
     osc = math.cos(2.0 * omega * t)
-    if kind == "closed":
-        return 0.5 * (1.0 + osc)
-    if kind == "damped-depolarizing":
-        return 0.5 * (1.0 + math.exp(-4.0 * kappa * t) * osc)
-    if kind == "approx-digital":
-        return 0.5 * (1.0 + (1.0 - 16.0 * lam**2) ** n * osc)
-    if kind == "approx-analog":
-        amp = (math.exp(-4.0 * kappa * dt) / (1.0 - 4.0 * kappa * dt)) ** n
-        return 0.5 * (1.0 + amp * osc)
-    if kind == "unmitigated-digital":
-        return 0.5 * (1.0 + (1.0 - 4.0 * kappa * dt) ** n * osc)
-    if kind == "biased":
-        xi, kappa_prime = biased_predictions(kappa, dt, mu_prime)
-        return xi**n * 0.5 * (1.0 + math.exp(-4.0 * kappa_prime * t) * osc)
+    try:
+        if kind == "closed":
+            return 0.5 * (1.0 + osc)
+        if kind == "damped-depolarizing":
+            return 0.5 * (1.0 + math.exp(-4.0 * kappa * t) * osc)
+        if kind == "approx-digital":
+            return 0.5 * (1.0 + (1.0 - 16.0 * lam**2) ** n * osc)
+        if kind == "approx-analog":
+            amp = (math.exp(-4.0 * kappa * dt) / (1.0 - 4.0 * kappa * dt)) ** n
+            return 0.5 * (1.0 + amp * osc)
+        if kind == "unmitigated-digital":
+            return 0.5 * (1.0 + (1.0 - 4.0 * kappa * dt) ** n * osc)
+        if kind == "biased":
+            xi, kappa_prime = biased_predictions(kappa, dt, mu_prime)
+            return xi**n * 0.5 * (1.0 + math.exp(-4.0 * kappa_prime * t) * osc)
+    except OverflowError:
+        raise ValueError(
+            f"reference: {kind} overflows the float range at step {n}; use fewer steps"
+        ) from None
     raise ValueError(f"unknown reference kind {kind!r}")
 
 
@@ -331,19 +319,23 @@ def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) 
     matrix each per series: the mitigated step M C, and exp((L_h + L_d) dt)
     for the target.  Each is repeated `steps` times as a broadcast view,
     not copied, and run through linalg.orbit, the blocked step loop.
-    `plan` is build_scenario(cfg), built here when not given.
+    `plan` is build_scenario(cfg), built here when not given.  A mitigated
+    state that blows up leaves inf or NaN in the series, which
+    cli.write_csv refuses.
     """
     if plan is None:
         plan = build_scenario(cfg)
     shape = (cfg.steps, 4, 4)
-    r = orbit(np.broadcast_to(plan.mitigation @ plan.deterministic, shape), sampling.RHO0)
-    e = orbit(np.broadcast_to(_exact_step(cfg), shape), sampling.RHO0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = orbit(np.broadcast_to(plan.mitigation @ plan.deterministic, shape), sampling.RHO0)
+        e = orbit(np.broadcast_to(_exact_step(cfg), shape), sampling.RHO0)
 
-    # qubit fidelity Tr(rho sigma) + 2 sqrt(det rho det sigma), with
-    # Tr(rho sigma) = (t1 t2 + x1 x2 + y1 y2 + z1 z2) / 2; see fidelity()
-    det_r, det_e = _det(r), _det(e)
-    overlap = 0.5 * (r * e).sum(axis=1)
-    fid = overlap + 2.0 * np.sqrt(np.maximum(det_r, 0.0) * np.maximum(det_e, 0.0))
+        # qubit fidelity Tr(rho sigma) + 2 sqrt(det rho det sigma), with
+        # Tr(rho sigma) = (t1 t2 + x1 x2 + y1 y2 + z1 z2) / 2; the complex
+        # 2x2 form it is checked against is fidelity() in tests/conftest.py
+        overlap = 0.5 * (r * e).sum(axis=1)
+        fid = overlap + 2.0 * np.sqrt(np.maximum(_det(r), 0.0) * np.maximum(_det(e), 0.0))
+        ideal = 0.5 * (r[:, 0] + r[:, 3])
 
     n_rows = cfg.steps + 1
     reference = None
@@ -353,12 +345,11 @@ def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) 
     return TimeSeries(
         step=np.arange(n_rows),
         t=np.arange(n_rows) * cfg.dt,
-        ideal=0.5 * (r[:, 0] + r[:, 3]),
+        ideal=ideal,
         reference=reference,
         mc_mean=None,
         mc_stderr=None,
         fidelity=fid,
-        negativity=np.maximum(0.0, -det_r),
     )
 
 
@@ -418,14 +409,13 @@ def diagnostics(cfg: ScenarioConfig) -> dict:
         kappa = channels.lambda_to_kappa(cfg.device, cfg.dt)
     unitary = unitary_generator(cfg.omega, cfg.beta)
     target, device = pauli_dissipator(cfg.target), pauli_dissipator(kappa)
-    q = mitigation_coeffs(cfg)
-    dist = channels.sampling_distribution(q, bias=1.0 if cfg.bias is None else cfg.bias)
+    plan = build_scenario(cfg)
     return {
         "comm_target_unitary": commutator_norm(target, unitary),
         "comm_device_unitary": commutator_norm(device, unitary),
         "comm_diff_unitary": commutator_norm(target - device, unitary),
-        "one_step_error": one_step_error_norm(cfg),
-        "coeffs": q,
-        "distribution": dist,
-        "overhead": dist.prefactor,
+        "one_step_error": frobenius_norm(plan.mitigation @ plan.deterministic - _exact_step(cfg)),
+        "coeffs": mitigation_coeffs(cfg),
+        "distribution": plan.distribution,
+        "overhead": plan.distribution.prefactor,
     }

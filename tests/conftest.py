@@ -193,3 +193,17 @@ def exhaustive_expectation(plan) -> ExhaustiveResult:
         mean[n] = g_n * (pw * 0.5 * (v[0] + v[3])).sum()
         weight_mean[n] = g_n * pw.sum()
     return ExhaustiveResult(mean=mean, weight_mean=weight_mean)
+
+
+def fidelity(r1, r2) -> float:
+    """Qubit fidelity Tr(r1 r2) + 2 sqrt(det r1 det r2) of complex 2x2
+    density matrices: the oracle for the fidelity column, which
+    scenarios.ideal_evolution computes from Pauli coordinates.
+
+    Determinants of slightly non-physical averaged states are clamped at 0.
+    """
+    r1, r2 = np.asarray(r1, dtype=complex), np.asarray(r2, dtype=complex)
+    overlap = np.trace(r1 @ r2).real
+    d1 = max(np.linalg.det(r1).real, 0.0)
+    d2 = max(np.linalg.det(r2).real, 0.0)
+    return float(overlap + 2.0 * math.sqrt(d1 * d2))

@@ -300,6 +300,42 @@ def test_weight_overflow_exits_with_message(tmp_path, capsys):
     assert not (tmp_path / "heavy.csv").exists()
 
 
+LINEAR_INVERSE_CFG = """\
+# per-step amplitude e^{-0.2} / 0.8 > 1: the mitigated state grows without bound
+hardware = analog
+mitigation = linear-inverse
+noise_kx = 0.1
+noise_ky = 0.1
+noise_kz = 0.1
+"""
+
+
+def test_overflowing_reference_exits_with_message(tmp_path, capsys):
+    cfg = _write(tmp_path, "blowup.cfg", LINEAR_INVERSE_CFG + "steps = 40000\n")
+    assert main(["run", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: reference: approx-analog overflows the float range at step ")
+    assert not (tmp_path / "blowup.csv").exists()
+
+
+def test_infinite_ideal_exits_with_message(tmp_path, capsys):
+    cfg = _write(tmp_path, "blowup.cfg", LINEAR_INVERSE_CFG + "steps = 30700\nreference = none\n")
+    assert main(["run", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ideal: inf at step ")
+    assert not (tmp_path / "blowup.csv").exists()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_csv_writer_refuses_infinity(tmp_path, value):
+    [(series, _)] = cli.simulate([ScenarioConfig("digital", PauliChannelParams())])
+    fidelity = series.fidelity.copy()
+    fidelity[3] = value
+    path = tmp_path / "inf.csv"
+    with pytest.raises(ValueError, match=f"^fidelity: {value:g} at step 3 "):
+        cli.write_csv(path, replace(series, fidelity=fidelity))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "hardware, device_key, kind",
     [("digital", "noise_lx", "approx-analog"), ("analog", "noise_kx", "approx-digital")],

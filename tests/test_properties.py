@@ -26,6 +26,7 @@ from conftest import (
     Z,
     conjugation,
     exhaustive_expectation,
+    fidelity,
     lindbladian,
     pauli_channel,
     unvec,
@@ -40,7 +41,6 @@ from pecstep.scenarios import (
     REFERENCE_KINDS,
     ScenarioConfig,
     build_scenario,
-    fidelity,
     ideal_evolution,
     resolve_reference,
 )
@@ -88,19 +88,20 @@ def column_stacked_steps(cfg, plan):
 
 
 def reference_columns(cfg, plan, steps):
-    """`ideal` and `fidelity` at the given steps from complex column-stacked
-    states: the mitigated step as a matrix power, the target as one
-    exponential of the Lindbladian from t = 0."""
+    """`ideal`, `fidelity` and det rho of the mitigated state at the given
+    steps from complex column-stacked states: the mitigated step as a matrix
+    power, the target as one exponential of the Lindbladian from t = 0."""
     deterministic, mitigation = column_stacked_steps(cfg, plan)
     step_map = mitigation @ deterministic
     l_target = lindbladian(cfg.omega, cfg.beta, cfg.target.as_tuple())
-    ideal, fid = [], []
+    ideal, fid, det = [], [], []
     for n in steps:
         rho = unvec(np.linalg.matrix_power(step_map, n) @ vec(RHO0))
         target = unvec(scipy.linalg.expm(l_target * n * cfg.dt) @ vec(RHO0))
         ideal.append(rho[0, 0].real)
         fid.append(fidelity(rho, target))
-    return np.array(ideal), np.array(fid)
+        det.append(np.linalg.det(rho).real)
+    return np.array(ideal), np.array(fid), np.array(det)
 
 
 def exact_stderr(cfg, plan, samples):
@@ -178,7 +179,7 @@ def test_ideal_evolution_against_oracle_reference_and_ensemble(cfg):
 
     assert np.abs(exhaustive_expectation(plan).mean - ts.ideal).max() < 1e-12
 
-    ideal, fid = reference_columns(cfg, plan, steps)
+    ideal, fid, _ = reference_columns(cfg, plan, steps)
     assert np.abs(ts.ideal - ideal).max() < 1e-12
     assert np.abs(ts.fidelity - fid).max() < 1e-6
 
@@ -198,10 +199,10 @@ def test_long_horizon_against_reference():
     plan = build_scenario(cfg)
     ts = ideal_evolution(cfg, plan)
     steps = np.linspace(0, cfg.steps, 20).astype(int)
-    ideal, fid = reference_columns(cfg, plan, steps)
+    ideal, fid, det = reference_columns(cfg, plan, steps)
     assert np.abs(ts.ideal[steps] - ideal).max() < 1e-10
     assert np.abs(ts.fidelity[steps] - fid).max() < 1e-6
-    assert ts.negativity.max() == pytest.approx(0.0, abs=1e-12)
+    assert np.maximum(0.0, -det).max() == pytest.approx(0.0, abs=1e-12)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -95,7 +95,6 @@ def test_run_ensemble_bit_identical_across_runs():
     b = run_ensemble(plan, 400, seed=42)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.std, b.std)
-    assert np.array_equal(a.mean_state, b.mean_state)
 
 
 def test_seed_changes_results():
@@ -301,7 +300,6 @@ def test_worker_count_does_not_change_results(monkeypatch):
         parallel = run_ensemble(plan, 1000, seed=7, workers=pool)
     assert np.array_equal(serial.mean, parallel.mean)
     assert np.array_equal(serial.std, parallel.std)
-    assert np.array_equal(serial.mean_state, parallel.mean_state)
 
 
 def test_zero_step_plan_gives_the_initial_state():
@@ -313,12 +311,6 @@ def test_zero_step_plan_gives_the_initial_state():
 def test_run_ensemble_validates_sample_count():
     with pytest.raises(ValueError):
         run_ensemble(_plan(_fig1a()), 0, seed=1)
-
-
-def test_mean_state_consistent_with_observable():
-    plan = _plan(_fig1a(steps=4))
-    stats = run_ensemble(plan, 2000, seed=8)
-    assert np.allclose(stats.mean, stats.mean_state[:, 0, 0].real, atol=1e-12)
 
 
 def dense_rotate(rot, v):
@@ -334,7 +326,7 @@ def dense_rotate(rot, v):
 def dense_ensemble(plan, samples, seed):
     """Every trajectory at once, one chunk after another, with the dense
     rotate, searchsorted branch codes and per-trajectory weights: the plain
-    form of the kernel, returning (mean, std ddof=1, mean state coordinates)."""
+    form of the kernel, returning (mean, std ddof=1)."""
     cum, sign = sampling._branch_tables(plan.distribution)
     u = np.vstack([
         chunk_uniforms(seed, c, min(sampling.CHUNK, samples - c * sampling.CHUNK), plan.steps)
@@ -343,14 +335,13 @@ def dense_ensemble(plan, samples, seed):
     branches = np.searchsorted(cum, u, side="right")
     v = np.repeat(sampling.RHO0[:, None], samples, axis=1)
     w = np.ones(samples)
-    obs, states = [0.5 * (v[0] + v[3])], [v.mean(axis=1)]
+    obs = [0.5 * (v[0] + v[3])]
     for s in range(plan.steps):
         v = sampling.BRANCH_DIAG[branches[:, s]].T * dense_rotate(plan.deterministic, v)
         w = w * sign[branches[:, s]] * plan.distribution.prefactor
         obs.append(w * 0.5 * (v[0] + v[3]))
-        states.append((w * v).mean(axis=1))
     obs = np.array(obs)
-    return obs.mean(axis=1), obs.std(axis=1, ddof=1), np.array(states)
+    return obs.mean(axis=1), obs.std(axis=1, ddof=1)
 
 
 def test_sparse_rotate_is_the_dense_sum_bit_for_bit(rng):
@@ -387,10 +378,9 @@ def test_all_zero_row_of_the_step_map_matches_the_dense_path():
     plan = _plan(cfg)
     assert not plan.deterministic[1].any()
     stats = run_ensemble(plan, 300, seed=4)
-    mean, std, states = dense_ensemble(plan, 300, 4)
+    mean, std = dense_ensemble(plan, 300, 4)
     assert np.allclose(stats.mean, mean, rtol=0, atol=1e-12)
     assert np.allclose(stats.std, std, rtol=0, atol=1e-12)
-    assert np.allclose(stats.mean_state, pauli_to_density(states), rtol=0, atol=1e-12)
     got = exhaustive_expectation(plan)
     assert np.allclose(got.mean, reference_enumeration(plan, 5), rtol=0, atol=1e-12)
     assert np.allclose(got.mean, ideal_evolution(cfg).ideal, rtol=0, atol=1e-12)
@@ -400,10 +390,9 @@ def test_kernel_matches_the_dense_path_over_chunks(monkeypatch):
     monkeypatch.setattr(sampling, "CHUNK", 50)
     plan = _plan(_fig1a(steps=6))
     stats = run_ensemble(plan, 130, seed=21)
-    mean, std, states = dense_ensemble(plan, 130, 21)
+    mean, std = dense_ensemble(plan, 130, 21)
     assert np.allclose(stats.mean, mean, rtol=0, atol=1e-12)
     assert np.allclose(stats.std, std, rtol=0, atol=1e-12)
-    assert np.allclose(stats.mean_state, pauli_to_density(states), rtol=0, atol=1e-12)
 
 
 _ROWS = 40
@@ -417,7 +406,7 @@ def test_sub_block_merge_matches_one_block_and_replays(monkeypatch, limit, size)
     # DRAW_BYTES of `size` rows of uniforms: draws of `size` rows
     monkeypatch.setattr(sampling, limit, size if limit == "SUB_ROWS" else size * 8 * plan.steps)
     split = run_ensemble(plan, _ROWS, seed=17)
-    for name in ("mean", "std", "mean_state"):
+    for name in ("mean", "std"):
         assert np.allclose(getattr(split, name), getattr(whole, name), rtol=0, atol=1e-12), name
     obs = np.array([run_trajectory(plan, 17, index=i).observable() for i in range(_ROWS)])
     assert np.allclose(split.mean, obs.mean(axis=0), rtol=0, atol=1e-12)
@@ -445,7 +434,6 @@ def test_tiny_byte_budget_keeps_the_mean_bit_for_bit(monkeypatch, pid, seed):
     monkeypatch.setattr(sampling, "DRAW_BYTES", 32)
     split = run_ensemble(plan, 300, seed=seed)
     assert np.array_equal(split.mean, whole.mean)
-    assert np.array_equal(split.mean_state, whole.mean_state)
 
 
 def test_sub_block_draws_concatenate_to_the_chunk_block(monkeypatch):
@@ -513,13 +501,13 @@ def test_no_uniform_draw_exceeds_the_draw_bound(monkeypatch, steps, samples):
 @pytest.mark.parametrize("rows", [3 * 4096 // 2, 20000, 4 * 4096])
 def test_split_chunk_sums_equal_the_unsplit_sums_bit_for_bit(monkeypatch, rows):
     # the sub-blocks follow numpy's pairwise summation tree, so the
-    # observable and state sums (hence mean and mean_state) do not move
+    # observable sums (hence the mean) do not move
     plan = _plan(_fig1a(steps=3))
     [whole] = sampling._chunk_stats(plan, 6, 0, rows)
     monkeypatch.setattr(sampling, "SUB_ROWS", 4096)
     [split] = sampling._chunk_stats(plan, 6, 0, rows)
     assert split[0] == whole[0] == rows
-    assert np.array_equal(split[1], whole[1]) and np.array_equal(split[3], whole[3])
+    assert np.array_equal(split[1], whole[1])
     assert np.allclose(split[2], whole[2], rtol=1e-13, atol=0)
 
 
@@ -594,11 +582,10 @@ def test_stacked_plan_equals_separate_runs_bit_for_bit(pool, pid, samples, on_po
     assert together.mean.shape == (3, stacked.steps + 1)
     for j, plan in enumerate(plans):
         alone = run_ensemble(plan, samples, seed=5, workers=workers)
-        for name in ("mean", "std", "stderr", "mean_state"):
+        for name in ("mean", "std", "stderr"):
             assert np.array_equal(getattr(together[j], name), getattr(alone, name)), name
 
 
 def test_single_map_plan_keeps_its_shapes():
     stats = run_ensemble(_plan(_fig1a(steps=4)), 10, seed=1)
     assert stats.mean.shape == stats.std.shape == stats.stderr.shape == (5,)
-    assert stats.mean_state.shape == (5, 2, 2)

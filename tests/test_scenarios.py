@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import max_abs_diff, sequential_orbit
+from conftest import fidelity, max_abs_diff, sequential_orbit
 from pecstep.channels import PauliChannelParams, channel_superop
 from pecstep.generators import PauliRates, pauli_dissipator, unitary_generator
 from pecstep.linalg import expm
@@ -14,7 +14,6 @@ from pecstep.scenarios import (
     ScenarioConfig,
     biased_predictions,
     build_scenario,
-    fidelity,
     ideal_evolution,
     mitigation_coeffs,
     one_step_error_norm,
@@ -129,15 +128,19 @@ def test_analog_closed_exact_depolarizing_recovers_target():
 
 
 def test_analog_linear_inverse_matches_deformed_form():
-    ts = ideal_evolution(replace(PRESETS["fig2b"].series[0][1], samples=0))
+    cfg = replace(PRESETS["fig2b"].series[0][1], samples=0)
+    plan = build_scenario(cfg)
+    ts = ideal_evolution(cfg, plan)
     expected = np.array(
         [reference_value("approx-analog", n, omega=1.0, dt=0.5, kappa=0.1) for n in range(21)]
     )
     assert np.abs(ts.ideal - expected).max() < 1e-12
     assert ts.ideal[1] == pytest.approx(0.776476321108245, abs=1e-12)
-    # amplitude blows past 1: the non-physical average is kept, not clipped
+    # amplitude blows past 1: the non-physical average is kept, not clipped,
+    # and the mitigated state leaves the physical set (det rho < 0)
     assert ts.ideal.max() > 1.0
-    assert ts.negativity.max() > 0.0
+    r = sequential_orbit([plan.mitigation @ plan.deterministic] * cfg.steps, RHO0)
+    assert ((r[:, 0] ** 2 - (r[:, 1:] ** 2).sum(axis=1)) / 4).min() < 0.0
 
 
 def test_trace_preserved_at_every_step():
@@ -199,6 +202,17 @@ def test_reference_unmitigated():
 def test_reference_unknown_kind():
     with pytest.raises(ValueError):
         reference_value("nope", 0, omega=1.0, dt=0.5)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("approx-analog", {"kappa": 0.1}), ("biased", {"kappa": 0.1, "mu_prime": 0.0})],
+)
+def test_reference_overflow_is_a_value_error(kind, params):
+    # amplitudes e^{-0.2} / 0.8 and xi = 1.1 / 0.8 per step
+    reference_value(kind, 1000, omega=1.0, dt=0.5, **params)
+    with pytest.raises(ValueError, match=f"^reference: {kind} overflows .* at step 40000;"):
+        reference_value(kind, 40000, omega=1.0, dt=0.5, **params)
 
 
 def test_biased_predictions_unbiased_is_identity():
@@ -438,7 +452,7 @@ def test_a_two_chunk_family_draws_one_stream_per_chunk(monkeypatch):
         [(alone, alone_stats)] = simulate([cfg])
         assert np.array_equal(series.mc_mean, alone.mc_mean)
         assert np.array_equal(series.mc_stderr, alone.mc_stderr)
-        assert np.array_equal(stats.mean_state, alone_stats.mean_state)
+        assert np.array_equal(stats.std, alone_stats.std)
     assert len(streams) == 2 + 3 * 2
 
 
@@ -472,7 +486,6 @@ def test_simulate_groups_only_configs_that_share_their_draws(monkeypatch):
         assert np.array_equal(series.mc_mean, alone.mc_mean)
         assert np.array_equal(series.mc_stderr, alone.mc_stderr)
         assert np.array_equal(stats.std, alone_stats.std)
-        assert np.array_equal(stats.mean_state, alone_stats.mean_state)
     calls.clear()
     simulate([base, replace(base, beta=0.3), replace(base, omega=2.0)])
     assert calls == [(3, 4, 4)]  # the Hamiltonian does not enter the draws
