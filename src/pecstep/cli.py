@@ -217,23 +217,32 @@ def _workers() -> int:
 
 
 def _run_series(named_configs, out_dir: Path, stem: str, want_svg: bool):
+    """Simulate the series and write their files into out_dir.  A failure
+    before the first file is written removes the directories this call made."""
     workers = _workers()
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     outputs = []
     configs = []
     with WorkerPool(workers) as pool:  # one pool for every series of the run
         results = simulate([cfg for _, cfg in named_configs], workers=pool)
-    for (name, cfg), (series, _) in zip(named_configs, results):
-        base = stem if not name else f"{stem}_{name}"
-        csv_path = out_dir / f"{base}.csv"
-        write_csv(csv_path, series)
-        outputs.append(csv_path.name)
-        if want_svg:
-            svg_path = out_dir / f"{base}.svg"
-            write_svg(svg_path, base, series)
-            outputs.append(svg_path.name)
-        configs.append({"series": name or stem, **config_echo(cfg)})
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        for (name, cfg), (series, _) in zip(named_configs, results):
+            base = stem if not name else f"{stem}_{name}"
+            csv_path = out_dir / f"{base}.csv"
+            write_csv(csv_path, series)
+            outputs.append(csv_path.name)
+            if want_svg:
+                svg_path = out_dir / f"{base}.svg"
+                write_svg(svg_path, base, series)
+                outputs.append(svg_path.name)
+            configs.append({"series": name or stem, **config_echo(cfg)})
+    except Exception:
+        if not outputs:
+            for d in made:
+                d.rmdir()
+        raise
     manifest = {
         "artifact": "pecstep",
         "version": __version__,

@@ -31,10 +31,11 @@ Kernel layout: a chunk is walked in sub-blocks of at most SUB_ROWS rows,
 every step of one sub-block before the next, so that its states stay in
 cache.  A sub-block draws its rows of the chunk's uniforms in order,
 through one buffer of at most DRAW_BYTES reused piece after piece, and
-keeps only one-byte branch codes per draw, step-major.  What bounds the
-ensemble's memory is therefore a sub-block's codes (at most BLOCK_BYTES)
-plus that one draw buffer, however many steps a plan has; no kernel ever
-holds a chunk's whole uniform block.  The chunk is split as
+keeps only each draw's 2-bit branch code, packed four steps to a byte,
+step-major.  What bounds the ensemble's memory is therefore a sub-block's
+codes (rows x ceil(steps/4) bytes, about a quarter of BLOCK_BYTES) plus
+that one draw buffer, however many steps a plan has; no kernel ever holds
+a chunk's whole uniform block.  The chunk is split as
 numpy's pairwise summation splits a sum and the sub-block partials are
 merged back with the centered-moment formula used across chunks, so the
 observable sums s1 equal the unsplit ones bit for bit.  A step
@@ -57,7 +58,7 @@ from .linalg import orbit, pauli_to_density
 
 CHUNK = 1 << 16
 SUB_ROWS = 1 << 14  # rows a chunk walks together: their states stay in a 2 MiB L2
-BLOCK_BYTES = 1 << 23  # bound on a sub-block's one-byte branch codes
+BLOCK_BYTES = 1 << 23  # bound on a sub-block's rows x steps; its packed codes take a quarter
 DRAW_BYTES = 1 << 20  # bound on the reused uniform buffer: it stays in half a 2 MiB L2
 
 RHO0 = np.array([1.0, 0.0, 0.0, 1.0])  # |1><1| in Pauli coordinates
@@ -189,20 +190,32 @@ def run_trajectory(plan: StepPlan, seed: int, index: int = 0) -> TrajectoryResul
 
 
 def _branch_codes(gen: np.random.Generator, cum: np.ndarray, rows: int, steps: int) -> np.ndarray:
-    """Step-major branch codes, shape (steps, rows), of the next `rows` rows
-    of the generator's uniform block.  The uniforms are drawn in order into
-    one buffer of at most DRAW_BYTES (or one row), reused piece after piece,
-    and only their one-byte codes are kept: the call holds the codes plus
-    that buffer, however many rows it draws."""
-    codes = np.empty((steps, rows), dtype=np.uint8)
+    """Packed step-major branch codes, shape (ceil(steps/4), rows), of the
+    next `rows` rows of the generator's uniform block: the 2-bit code of
+    step 4q + j sits in bits 2j, 2j+1 of byte q, and unused bits are zero.
+
+    The uniforms are drawn in order into one buffer of at most DRAW_BYTES
+    (or one row), reused piece after piece.  A piece's one-byte codes go
+    into a zero-padded buffer of whole 4-step words, which a word fold packs
+    (each 32-bit little-endian word holds one code per byte, at bits 0, 8,
+    16 and 24, and w | w>>6 | w>>12 | w>>18 gathers them into its low byte);
+    only the packed quarter-size array is transposed.  The call holds the
+    packed codes plus those piece buffers, however many rows it draws.
+    """
+    words = -(-steps // 4)
+    packed = np.empty((words, rows), dtype=np.uint8)
     piece = min(rows, max(1, DRAW_BYTES // (8 * max(steps, 1))))
     buf = np.empty(piece * steps)
+    pad = np.zeros((piece, 4 * words), dtype=np.uint8)  # columns past `steps` stay 0
     for a in range(0, rows, piece):
         n = min(piece, rows - a)
         u = buf[: n * steps].reshape(n, steps)
         gen.random(out=u)
-        codes[:, a : a + n] = _codes(u, cum).T
-    return codes
+        pad[:n, :steps] = _codes(u, cum)
+        w = pad[:n].view("<u4")
+        w = w | w >> 6 | w >> 12 | w >> 18
+        np.copyto(packed[:, a : a + n], w.T, casting="unsafe")  # keeps the low byte
+    return packed
 
 
 def _flips(sign: np.ndarray) -> list:
@@ -216,22 +229,23 @@ def _flips(sign: np.ndarray) -> list:
     return [np.flatnonzero(fold[i] != fold[i + 1]).tolist() for i in range(3)]
 
 
-def _block_stats(rot: list, flips: list, codes: np.ndarray):
-    """Partials (rows, s1, m2) of one sub-block, from its step-major
-    branch codes: the observable sum s1 and its centered second moment m2
-    (two-pass, which keeps the spread of a constant observable at zero), per
-    step.
+def _block_stats(rot: list, flips: list, codes: np.ndarray, steps: int):
+    """Partials (rows, s1, m2) of one sub-block over `steps` steps, from its
+    packed branch codes (_branch_codes): the observable sum s1 and its
+    centered second moment m2 (two-pass, which keeps the spread of a
+    constant observable at zero), per step.
 
     Each column of v holds sign(w_n) * (trace, x, y, z) of its trajectory:
     a branch multiplies the state by its Pauli diagonal times its weight
     sign, so the weight magnitude gamma^n is left to run_ensemble.  A
     factor -1 is applied as an exact flip of the sign bit.
     """
-    steps, rows = codes.shape
+    rows = codes.shape[1]
     v = np.empty((4, rows))
     v[...] = RHO0[:, None]
     out = np.empty_like(v)
     tmp = np.empty(rows)
+    code = np.empty(rows, dtype=np.uint8)
     flip = np.empty(rows, dtype=np.uint64)
     s1 = np.zeros(steps + 1)
     m2 = np.zeros(steps + 1)
@@ -246,11 +260,13 @@ def _block_stats(rot: list, flips: list, codes: np.ndarray):
 
     record(0)
     for s in range(steps):
+        np.right_shift(codes[s >> 2], 2 * (s & 3), out=code)  # unpack step s
+        code &= 3
         _rotate(rot, v, out, tmp)
         bits = out.view(np.uint64)
         for i, components in enumerate(flips):
             if components:
-                np.less_equal(codes[s], i, out=flip)  # cum[i] > u, as 0 or 1
+                np.less_equal(code, i, out=flip)  # cum[i] > u, as 0 or 1
                 flip <<= 63  # the sign bit
                 for k in components:
                     bits[k] ^= flip
@@ -278,13 +294,13 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int) -> list:
     """Partials (rows, s1, m2) of one chunk, in sign-folded units (see
     _block_stats), one per deterministic map of the plan.
 
-    The chunk is walked in sub-blocks of at most SUB_ROWS rows whose branch
-    codes fit in BLOCK_BYTES, but never fewer than 128 rows (beyond 65536
-    steps the codes exceed BLOCK_BYTES by at most 128 * steps bytes).  A
-    sub-block's codes are drawn once and every map steps through them.  It
-    is split as numpy's pairwise summation splits a sum (halves rounded
-    down to a multiple of 8) and each map's partials are merged back up the
-    same tree.  numpy sums at most 128 values with 8 interleaved
+    The chunk is walked in sub-blocks of at most SUB_ROWS rows whose rows x
+    steps fit in BLOCK_BYTES, but never fewer than 128 rows (beyond 65536
+    steps they exceed BLOCK_BYTES by at most 128 * steps).  A sub-block's
+    packed codes take rows x ceil(steps/4) bytes; they are drawn once and
+    every map steps through them.  The chunk is split as numpy's pairwise
+    summation splits a sum (halves rounded down to a multiple of 8) and
+    each map's partials are merged back up the same tree.  numpy sums at most 128 values with 8 interleaved
     accumulators rather than by halves, so with sub-blocks of 128 rows or
     more every leaf is a node of numpy's own tree: s1 equals the sum over
     the whole chunk bit for bit, and m2 moves by rounding only.
@@ -299,7 +315,7 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int) -> list:
     def stats(n):  # the generator's next n rows
         if n <= leaf:
             codes = _branch_codes(gen, cum, n, steps)
-            return [_block_stats(rot, flips, codes) for rot in rots]
+            return [_block_stats(rot, flips, codes, steps) for rot in rots]
         half = n // 2 - n // 2 % 8 or n // 2  # numpy's split; halves below 16 rows
         return [_merge(pair) for pair in zip(stats(half), stats(n - half))]
 

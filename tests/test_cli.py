@@ -325,6 +325,22 @@ def test_infinite_ideal_exits_with_message(tmp_path, capsys):
     assert not (tmp_path / "blowup.csv").exists()
 
 
+@pytest.mark.parametrize("cfg_text, samples", [
+    (HEAVY_CFG + "steps = 2300\n", "256"),  # fails in simulate
+    (LINEAR_INVERSE_CFG + "steps = 30700\nreference = none\n", "0"),  # fails in write_csv
+], ids=["simulate", "write_csv"])
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys, cfg_text, samples):
+    cfg = _write(tmp_path, "blowup.cfg", cfg_text)
+    args = ["run", "--config", str(cfg), "--samples", samples, "--seed", "1", "--output"]
+    assert main(args + [str(tmp_path / "new" / "out")]) == 2
+    assert not (tmp_path / "new").exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert main(args + [str(existing / "out")]) == 2
+    assert existing.is_dir() and not any(existing.iterdir())
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
 def test_csv_writer_refuses_infinity(tmp_path, value):
     [(series, _)] = cli.simulate([ScenarioConfig("digital", PauliChannelParams())])

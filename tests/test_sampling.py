@@ -363,6 +363,30 @@ def test_comparison_codes_equal_searchsorted(rng):
     assert np.array_equal(codes, np.searchsorted(cum, u, side="right"))
 
 
+def _unpack(packed, steps):
+    """(steps, rows) one-byte codes from _branch_codes' packed bytes."""
+    s = np.arange(steps)
+    return (packed[s // 4] >> (2 * (s % 4))[:, None].astype(np.uint8)) & 3
+
+
+@pytest.mark.parametrize("draw_rows", [None, 3])  # None: the default DRAW_BYTES
+@pytest.mark.parametrize("rows", [1, 7, 130])
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 7, 2000])
+def test_packed_codes_unpack_to_the_codes_of_the_chunk_block(monkeypatch, steps, rows, draw_rows):
+    # step 4q + j in bits 2j, 2j+1 of byte q, over every steps % 4; a draw
+    # budget of 3 rows makes several pieces, as 2000 steps do by default
+    if draw_rows:
+        monkeypatch.setattr(sampling, "DRAW_BYTES", draw_rows * 8 * steps)
+    cum = np.array([0.2, 0.45, 0.7])
+    gen = np.random.Generator(sampling._philox(6, 0))
+    packed = sampling._branch_codes(gen, cum, rows, steps)
+    assert packed.dtype == np.uint8 and packed.shape == (-(-steps // 4), rows)
+    want = sampling._codes(chunk_uniforms(6, 0, rows, steps), cum)
+    assert np.array_equal(_unpack(packed, steps), want.T)
+    if steps % 4:
+        assert not (packed[-1] >> 2 * (steps % 4)).any()  # unused bits are zero
+
+
 def _zero_row_config(**kw):
     # x transfer eigenvalue 1 - 2 (ly + lz) = 0: the step map's x row is all zero
     return ScenarioConfig(
@@ -470,8 +494,8 @@ def _long_plan():
 
 
 def test_ensemble_memory_is_the_codes_plus_one_draw_buffer():
-    # a 4096-row leaf holds 7.8 MiB of one-byte codes; the uniforms pass
-    # through one reused buffer of DRAW_BYTES
+    # a 4096-row leaf holds 2 MiB of codes packed four steps to a byte; the
+    # uniforms pass through one reused buffer of DRAW_BYTES
     plan = _long_plan()
     tracemalloc.start()
     try:
@@ -479,7 +503,7 @@ def test_ensemble_memory_is_the_codes_plus_one_draw_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("steps, samples", [(2000, 4096), (20, 40000)])
