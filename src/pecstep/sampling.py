@@ -197,23 +197,29 @@ def _branch_codes(gen: np.random.Generator, cum: np.ndarray, rows: int, steps: i
     The uniforms are drawn in order into one buffer of at most DRAW_BYTES
     (or one row), reused piece after piece.  A piece's one-byte codes go
     into a zero-padded buffer of whole 4-step words, which a word fold packs
-    (each 32-bit little-endian word holds one code per byte, at bits 0, 8,
-    16 and 24, and w | w>>6 | w>>12 | w>>18 gathers them into its low byte);
-    only the packed quarter-size array is transposed.  The call holds the
-    packed codes plus those piece buffers, however many rows it draws.
+    in place: a 32-bit little-endian word holds one code per byte, at bits
+    0, 8, 16 and 24, and w |= w>>6 then w |= w>>12 leave
+    w | w>>6 | w>>12 | w>>18, whose low byte holds all four.  Right shifts
+    move bits only down, so the padding bytes stay zero.  Only the packed
+    quarter-size array is transposed.  The call holds the packed codes plus
+    those piece buffers, however many rows it draws.
     """
     words = -(-steps // 4)
     packed = np.empty((words, rows), dtype=np.uint8)
     piece = min(rows, max(1, DRAW_BYTES // (8 * max(steps, 1))))
     buf = np.empty(piece * steps)
     pad = np.zeros((piece, 4 * words), dtype=np.uint8)  # columns past `steps` stay 0
+    shifted = np.empty((piece, words), dtype=np.uint32)
     for a in range(0, rows, piece):
         n = min(piece, rows - a)
         u = buf[: n * steps].reshape(n, steps)
         gen.random(out=u)
         pad[:n, :steps] = _codes(u, cum)
-        w = pad[:n].view("<u4")
-        w = w | w >> 6 | w >> 12 | w >> 18
+        w, t = pad[:n].view("<u4"), shifted[:n]
+        np.right_shift(w, 6, out=t)
+        w |= t
+        np.right_shift(w, 12, out=t)
+        w |= t
         np.copyto(packed[:, a : a + n], w.T, casting="unsafe")  # keeps the low byte
     return packed
 
@@ -245,7 +251,8 @@ def _block_stats(rot: list, flips: list, codes: np.ndarray, steps: int):
     v[...] = RHO0[:, None]
     out = np.empty_like(v)
     tmp = np.empty(rows)
-    code = np.empty(rows, dtype=np.uint8)
+    quad = np.empty((4, rows), dtype=np.uint8)
+    shifts = np.arange(0, 8, 2, dtype=np.uint8)[:, None]  # code j of a byte sits at bit 2j
     flip = np.empty(rows, dtype=np.uint64)
     s1 = np.zeros(steps + 1)
     m2 = np.zeros(steps + 1)
@@ -260,8 +267,10 @@ def _block_stats(rot: list, flips: list, codes: np.ndarray, steps: int):
 
     record(0)
     for s in range(steps):
-        np.right_shift(codes[s >> 2], 2 * (s & 3), out=code)  # unpack step s
-        code &= 3
+        if s & 3 == 0:  # unpack steps s .. s + 3 from byte row s // 4
+            np.right_shift(codes[s >> 2], shifts, out=quad)
+            quad &= 3
+        code = quad[s & 3]
         _rotate(rot, v, out, tmp)
         bits = out.view(np.uint64)
         for i, components in enumerate(flips):
@@ -300,10 +309,11 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int) -> list:
     packed codes take rows x ceil(steps/4) bytes; they are drawn once and
     every map steps through them.  The chunk is split as numpy's pairwise
     summation splits a sum (halves rounded down to a multiple of 8) and
-    each map's partials are merged back up the same tree.  numpy sums at most 128 values with 8 interleaved
-    accumulators rather than by halves, so with sub-blocks of 128 rows or
-    more every leaf is a node of numpy's own tree: s1 equals the sum over
-    the whole chunk bit for bit, and m2 moves by rounding only.
+    each map's partials are merged back up the same tree.  numpy sums at
+    most 128 values with 8 interleaved accumulators rather than by halves,
+    so with sub-blocks of 128 rows or more every leaf is a node of numpy's
+    own tree: s1 equals the sum over the whole chunk bit for bit, and m2
+    moves by rounding only.
     """
     steps = plan.steps
     cum, sign = _branch_tables(plan.distribution)
