@@ -27,6 +27,7 @@ Config files are flat `key = value` lines, '#' starts a comment.  Keys:
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -225,7 +226,8 @@ def _run_series(named_configs, out_dir: Path, stem: str, want_svg: bool):
     configs = []
     with WorkerPool(workers) as pool:  # one pool for every series of the run
         results = simulate([cfg for _, cfg in named_configs], workers=pool)
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    # the directories mkdir is about to make, deepest first
+    made = list(itertools.takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         for (name, cfg), (series, _) in zip(named_configs, results):
