@@ -6,13 +6,10 @@ from .channels import (
     MitigationCoeffs,
     PauliChannelParams,
     SamplingDistribution,
-    TransferEigenvalues,
     channel_superop,
     coeffs_to_superop,
-    exact_inverse_coeffs,
+    exact_coeffs,
     first_order_coeffs,
-    general_exact_coeffs,
-    lambda_to_kappa,
     linear_inverse_coeffs,
     sampling_distribution,
 )
@@ -50,13 +47,10 @@ __all__ = [
     "MitigationCoeffs",
     "PauliChannelParams",
     "SamplingDistribution",
-    "TransferEigenvalues",
     "channel_superop",
     "coeffs_to_superop",
-    "exact_inverse_coeffs",
+    "exact_coeffs",
     "first_order_coeffs",
-    "general_exact_coeffs",
-    "lambda_to_kappa",
     "linear_inverse_coeffs",
     "sampling_distribution",
     "PauliRates",

@@ -8,9 +8,10 @@ the transfer eigenvalues
 
     ex = q0 + q1 - q2 - q3   (cyclic).
 
-Composition is a componentwise product and inversion is a componentwise
-reciprocal, so exact inverse maps and channel logarithms reduce to scalar
-arithmetic instead of 4x4 matrix inversion.
+Transfer eigenvalues are plain (ex, ey, ez) tuples.  Composition is a
+componentwise product and inversion is a componentwise reciprocal, so the
+exact mitigation map is one ratio per Bloch axis instead of a 4x4 matrix
+inversion.
 """
 
 import math
@@ -53,18 +54,6 @@ class PauliChannelParams:
 
 
 @dataclass(frozen=True)
-class TransferEigenvalues:
-    """Scaling factors applied to the X/Y/Z Bloch components."""
-
-    ex: float
-    ey: float
-    ez: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.ex, self.ey, self.ez)
-
-
-@dataclass(frozen=True)
 class MitigationCoeffs:
     """Quasi-probability weights of a Pauli-diagonal map; sum to 1, q0 > 0."""
 
@@ -103,17 +92,23 @@ class SamplingDistribution:
         return (self.mu1, self.mu2, self.mu3)
 
 
-def lambda_to_transfer(p: PauliChannelParams) -> TransferEigenvalues:
+def lambda_to_transfer(p: PauliChannelParams) -> tuple[float, float, float]:
     lx, ly, lz = p.as_tuple()
-    return TransferEigenvalues(
-        ex=1.0 - 2.0 * ly - 2.0 * lz,
-        ey=1.0 - 2.0 * lx - 2.0 * lz,
-        ez=1.0 - 2.0 * lx - 2.0 * ly,
+    return (1.0 - 2.0 * ly - 2.0 * lz, 1.0 - 2.0 * lx - 2.0 * lz, 1.0 - 2.0 * lx - 2.0 * ly)
+
+
+def _decay(r: PauliRates, dt: float) -> tuple[float, float, float]:
+    """Transfer eigenvalues of exp(L dt) for Pauli rates r: exp(-2(g_j + g_k) dt)."""
+    gx, gy, gz = r.as_tuple()
+    return (
+        math.exp(-2.0 * (gy + gz) * dt),
+        math.exp(-2.0 * (gx + gz) * dt),
+        math.exp(-2.0 * (gx + gy) * dt),
     )
 
 
-def transfer_to_coeffs(e: TransferEigenvalues) -> MitigationCoeffs:
-    ex, ey, ez = e.as_tuple()
+def transfer_to_coeffs(e: tuple[float, float, float]) -> MitigationCoeffs:
+    ex, ey, ez = e
     return MitigationCoeffs(
         q0=0.25 * (1.0 + ex + ey + ez),
         q1=0.25 * (1.0 + ex - ey - ez),
@@ -122,57 +117,40 @@ def transfer_to_coeffs(e: TransferEigenvalues) -> MitigationCoeffs:
     )
 
 
-def coeffs_to_transfer(q: MitigationCoeffs) -> TransferEigenvalues:
+def coeffs_to_transfer(q: MitigationCoeffs) -> tuple[float, float, float]:
     q0, q1, q2, q3 = q.as_tuple()
-    return TransferEigenvalues(
-        ex=q0 + q1 - q2 - q3,
-        ey=q0 - q1 + q2 - q3,
-        ez=q0 - q1 - q2 + q3,
-    )
+    return (q0 + q1 - q2 - q3, q0 - q1 + q2 - q3, q0 - q1 - q2 + q3)
 
 
 def coeffs_to_superop(q: MitigationCoeffs) -> np.ndarray:
     """Pauli-transfer matrix of q0*I + q1*XX + q2*YY + q3*ZZ: diag(1, ex, ey, ez)."""
-    return np.diag((1.0,) + coeffs_to_transfer(q).as_tuple())
+    return np.diag((1.0,) + coeffs_to_transfer(q))
 
 
 def channel_superop(p: PauliChannelParams) -> np.ndarray:
     """Pauli-transfer matrix of the Pauli channel with flip probabilities p."""
-    return np.diag((1.0,) + lambda_to_transfer(p).as_tuple())
+    return np.diag((1.0,) + lambda_to_transfer(p))
 
 
-def exact_inverse_coeffs(p: PauliChannelParams) -> MitigationCoeffs:
-    """Coefficients of the map that exactly undoes the channel p."""
-    e = lambda_to_transfer(p)
-    if min(abs(v) for v in e.as_tuple()) < 1e-14:
-        raise ValueError(
-            f"channel with transfer eigenvalues {e.as_tuple()} is singular, not invertible"
-        )
-    return transfer_to_coeffs(
-        TransferEigenvalues(1.0 / e.ex, 1.0 / e.ey, 1.0 / e.ez)
-    )
-
-
-def general_exact_coeffs(
-    target: PauliRates, device: PauliRates, dt: float
+def exact_coeffs(
+    target: PauliRates, device: PauliChannelParams | PauliRates, dt: float
 ) -> MitigationCoeffs:
-    """Coefficients of exp((L_target - L_device) dt) for Pauli rate triples.
+    """Coefficients of the map that turns one step of device noise into one
+    step of the target noise exp(L_target dt): per Bloch axis, the target's
+    exp(-2(g_j + g_k) dt) divided by the device's transfer eigenvalue.
 
-    This is the exact mitigation map converting the device noise into the
-    target noise over one time step; it specializes to the plain channel
-    inverse when the target rates vanish.
+    The device step is the channel itself on digital hardware and
+    exp(L_device dt) for analog rates; a zero target gives its inverse.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    gx, gy, gz = target.as_tuple()
-    kx, ky, kz = device.as_tuple()
-    return transfer_to_coeffs(
-        TransferEigenvalues(
-            ex=math.exp(-2.0 * ((gy + gz) - (ky + kz)) * dt),
-            ey=math.exp(-2.0 * ((gx + gz) - (kx + kz)) * dt),
-            ez=math.exp(-2.0 * ((gx + gy) - (kx + ky)) * dt),
-        )
-    )
+    if isinstance(device, PauliChannelParams):
+        e = lambda_to_transfer(device)
+    else:
+        e = _decay(device, dt)
+    if min(abs(v) for v in e) < 1e-14:
+        raise ValueError(f"device noise with transfer eigenvalues {e} is singular, not invertible")
+    return transfer_to_coeffs(tuple(t / v for t, v in zip(_decay(target, dt), e)))
 
 
 def first_order_coeffs(
@@ -197,33 +175,7 @@ def linear_inverse_coeffs(device: PauliRates, dt: float) -> MitigationCoeffs:
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     eps = PauliChannelParams(device.gx * dt, device.gy * dt, device.gz * dt)
-    return exact_inverse_coeffs(eps)
-
-
-def lambda_to_kappa(p: PauliChannelParams, dt: float) -> PauliRates:
-    """Rates kappa such that exp(L_n dt) realizes the channel p: the channel
-    logarithm, which requires a weak channel (lx+ly+lz <= 1/2)."""
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if p.lx + p.ly + p.lz > 0.5:
-        raise ValueError(
-            f"lx+ly+lz = {p.lx + p.ly + p.lz} > 1/2: channel too strong for a rate decomposition"
-        )
-    e = lambda_to_transfer(p)
-    if min(e.as_tuple()) <= 0.0:
-        raise ValueError(
-            f"channel with transfer eigenvalues {e.as_tuple()} has no real logarithm"
-        )
-    ux, uy, uz = (math.log(v) for v in e.as_tuple())
-    s = 0.25 / dt
-    rates = (s * (ux - uy - uz), s * (uy - ux - uz), s * (uz - ux - uy))
-    # not every Pauli channel divides into nonnegative rates; reject the
-    # ones that do not instead of returning an unphysical generator
-    if min(rates) < -1e-12:
-        raise ValueError(
-            f"channel {p.as_tuple()} has no nonnegative rate decomposition (log gives {rates})"
-        )
-    return PauliRates(*(max(r, 0.0) for r in rates))
+    return exact_coeffs(PauliRates(), eps, dt)
 
 
 def _sign(x: float) -> int:

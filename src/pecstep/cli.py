@@ -27,7 +27,6 @@ Config files are flat `key = value` lines, '#' starts a comment.  Keys:
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -159,11 +158,10 @@ def config_echo(cfg: ScenarioConfig) -> dict:
     return echo
 
 
-def write_csv(path, series: TimeSeries) -> None:
-    """Write the series.  A column that is None prints as empty fields ("not
-    applicable"); raises ValueError on NaN or inf in any other column."""
-    names = CSV_HEADER.split(",")[2:]
-    defined = [name for name in names if getattr(series, name) is not None]
+def _defined_columns(path, series: TimeSeries) -> list[str]:
+    """The columns the series defines (not None); raises ValueError on NaN
+    or inf in any of them, naming the CSV `path` that is not written."""
+    defined = [name for name in CSV_HEADER.split(",")[2:] if getattr(series, name) is not None]
     for name in defined:
         values = getattr(series, name)
         bad = np.flatnonzero(~np.isfinite(values))
@@ -173,6 +171,14 @@ def write_csv(path, series: TimeSeries) -> None:
                 f"{name}: {first} at step {int(series.step[bad[0]])} "
                 f"({bad.size} of {series.step.size} steps); no CSV written to {path}"
             )
+    return defined
+
+
+def write_csv(path, series: TimeSeries) -> None:
+    """Write the series.  A column that is None prints as empty fields ("not
+    applicable"); raises ValueError on NaN or inf in any other column."""
+    names = CSV_HEADER.split(",")[2:]
+    defined = _defined_columns(path, series)
     row = ",".join(["%d", "%.12g"] + ["%.12g" if name in defined else "" for name in names])
     columns = [series.step, series.t] + [getattr(series, name) for name in defined]
     lines = [CSV_HEADER] + [row % values for values in zip(*(c.tolist() for c in columns))]
@@ -218,33 +224,28 @@ def _workers() -> int:
 
 
 def _run_series(named_configs, out_dir: Path, stem: str, want_svg: bool):
-    """Simulate the series and write their files into out_dir.  A failure
-    before the first file is written removes the directories this call made."""
+    """Simulate the series and write their files into out_dir.  Every series
+    is checked before out_dir is made, so a NaN or inf in any of them leaves
+    no file and no directory behind."""
     workers = _workers()
     t0 = time.perf_counter()
     outputs = []
     configs = []
     with WorkerPool(workers) as pool:  # one pool for every series of the run
         results = simulate([cfg for _, cfg in named_configs], workers=pool)
-    # the directories mkdir is about to make, deepest first
-    made = list(itertools.takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
+    bases = [stem if not name else f"{stem}_{name}" for name, _ in named_configs]
+    for base, (series, _) in zip(bases, results):
+        _defined_columns(out_dir / f"{base}.csv", series)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        for (name, cfg), (series, _) in zip(named_configs, results):
-            base = stem if not name else f"{stem}_{name}"
-            csv_path = out_dir / f"{base}.csv"
-            write_csv(csv_path, series)
-            outputs.append(csv_path.name)
-            if want_svg:
-                svg_path = out_dir / f"{base}.svg"
-                write_svg(svg_path, base, series)
-                outputs.append(svg_path.name)
-            configs.append({"series": name or stem, **config_echo(cfg)})
-    except Exception:
-        if not outputs:
-            for d in made:
-                d.rmdir()
-        raise
+    for base, (name, cfg), (series, _) in zip(bases, named_configs, results):
+        csv_path = out_dir / f"{base}.csv"
+        write_csv(csv_path, series)
+        outputs.append(csv_path.name)
+        if want_svg:
+            svg_path = out_dir / f"{base}.svg"
+            write_svg(svg_path, base, series)
+            outputs.append(svg_path.name)
+        configs.append({"series": name or stem, **config_echo(cfg)})
     manifest = {
         "artifact": "pecstep",
         "version": __version__,

@@ -6,7 +6,8 @@ the mitigation map; an analog step is a single exponential in which the
 device noise acts simultaneously with the Hamiltonian, then the mitigation
 map.  The mitigation coefficients are chosen per configuration:
 
-    exact          exp((L_target - L_device) dt), channel inverse if closed
+    exact          exp(L_target dt) after the inverse device step: one ratio
+                   of transfer eigenvalues per Bloch axis
     first-order    q_k = g_k dt - eps_k (per-step device error eps)
     linear-inverse exact inverse of the linearized device channel (analog only)
     none           identity
@@ -120,17 +121,11 @@ class TimeSeries:
 def mitigation_coeffs(cfg: ScenarioConfig) -> MitigationCoeffs:
     if cfg.mitigation == "none":
         return MitigationCoeffs(1.0, 0.0, 0.0, 0.0)
-    if cfg.hardware == "digital":
-        lam: PauliChannelParams = cfg.device
-        if cfg.mitigation == "exact":
-            if cfg.is_closed_target():
-                return channels.exact_inverse_coeffs(lam)
-            kappa = channels.lambda_to_kappa(lam, cfg.dt)
-            return channels.general_exact_coeffs(cfg.target, kappa, cfg.dt)
-        return channels.first_order_coeffs(cfg.target, lam.as_tuple(), cfg.dt)
-    kappa: PauliRates = cfg.device
     if cfg.mitigation == "exact":
-        return channels.general_exact_coeffs(cfg.target, kappa, cfg.dt)
+        return channels.exact_coeffs(cfg.target, cfg.device, cfg.dt)
+    if cfg.hardware == "digital":
+        return channels.first_order_coeffs(cfg.target, cfg.device.as_tuple(), cfg.dt)
+    kappa: PauliRates = cfg.device
     if cfg.mitigation == "linear-inverse":
         return channels.linear_inverse_coeffs(kappa, cfg.dt)
     eps = tuple(k * cfg.dt for k in kappa.as_tuple())
@@ -401,14 +396,19 @@ def trotter_error_norm(cfg: ScenarioConfig) -> float:
 def diagnostics(cfg: ScenarioConfig) -> dict:
     """Commutator norms, coefficients and sampling overhead for a config.
 
-    Digital device noise enters as rates through the channel logarithm,
-    which only exists for rate-decomposable channels.
+    A digital device channel with transfer eigenvalues e enters as the
+    generator diag(0, ln e) / dt, which needs every e > 0: the commutators
+    compare generators, not one-step maps.
     """
-    kappa = cfg.device
     if cfg.hardware == "digital":
-        kappa = channels.lambda_to_kappa(cfg.device, cfg.dt)
+        e = channels.lambda_to_transfer(cfg.device)
+        if min(e) <= 0.0:
+            raise ValueError(f"channel with transfer eigenvalues {e} has no real logarithm")
+        device = np.diag([0.0] + [math.log(v) for v in e]) / cfg.dt
+    else:
+        device = pauli_dissipator(cfg.device)
     unitary = unitary_generator(cfg.omega, cfg.beta)
-    target, device = pauli_dissipator(cfg.target), pauli_dissipator(kappa)
+    target = pauli_dissipator(cfg.target)
     plan = build_scenario(cfg)
     return {
         "comm_target_unitary": commutator_norm(target, unitary),

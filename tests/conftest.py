@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pecstep.sampling as sampling
-from pecstep.channels import PauliChannelParams, TransferEigenvalues, transfer_to_coeffs
+from pecstep.channels import PauliChannelParams, transfer_to_coeffs
 from pecstep.generators import PauliRates
 
 # Independent complex reference for the library's real Pauli-transfer maps:
@@ -133,15 +133,16 @@ def chunk_uniforms(seed, chunk, rows, steps):
 
 
 def kappa_to_lambda(r: PauliRates, dt: float) -> PauliChannelParams:
-    """Channel probabilities of exp(L_n dt) for rates r: the inverse of
-    channels.lambda_to_kappa, through the transfer eigenvalues."""
+    """Channel probabilities of exp(L_n dt) for rates r, through the
+    transfer eigenvalues: the digital device whose one step equals an
+    analog device's step with rates r."""
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     gx, gy, gz = r.as_tuple()
-    e = TransferEigenvalues(
-        ex=math.exp(-2.0 * (gy + gz) * dt),
-        ey=math.exp(-2.0 * (gx + gz) * dt),
-        ez=math.exp(-2.0 * (gx + gy) * dt),
+    e = (
+        math.exp(-2.0 * (gy + gz) * dt),
+        math.exp(-2.0 * (gx + gz) * dt),
+        math.exp(-2.0 * (gx + gy) * dt),
     )
     q = transfer_to_coeffs(e)
     return PauliChannelParams(q.q1, q.q2, q.q3)

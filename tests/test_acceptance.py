@@ -10,7 +10,7 @@ import numpy as np
 from pecstep.channels import (
     PauliChannelParams,
     coeffs_to_superop,
-    general_exact_coeffs,
+    exact_coeffs,
 )
 from pecstep.generators import PauliRates, pauli_dissipator
 from conftest import exhaustive_expectation, max_abs_diff
@@ -172,7 +172,7 @@ def test_criterion_9_coefficient_identity_grid():
         for g in targets:
             for k in devices:
                 for dt in (0.1, 0.5, 1.0):
-                    q = general_exact_coeffs(PauliRates(*g), PauliRates(*k), dt)
+                    q = exact_coeffs(PauliRates(*g), PauliRates(*k), dt)
                     assert abs(sum(q.as_tuple()) - 1.0) <= 1e-12
                     assert q.q0 > 0.25
                     lhs = coeffs_to_superop(q) @ expm(pauli_dissipator(PauliRates(*k)) * dt)

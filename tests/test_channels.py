@@ -2,20 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pecstep.channels import (
     MitigationCoeffs,
     PauliChannelParams,
-    TransferEigenvalues,
     channel_superop,
     coeffs_to_superop,
     coeffs_to_transfer,
-    exact_inverse_coeffs,
+    exact_coeffs,
     expected_superop,
     first_order_coeffs,
-    general_exact_coeffs,
-    lambda_to_kappa,
     lambda_to_transfer,
     linear_inverse_coeffs,
     sampling_distribution,
@@ -55,12 +52,10 @@ def _general_oracle(g, k, dt):
     return q0, q1, q2, q3
 
 
-def _kappa_oracle(l1, l2, l3, dt):
-    ex, ey, ez = 1 - 2 * l2 - 2 * l3, 1 - 2 * l1 - 2 * l3, 1 - 2 * l1 - 2 * l2
-    k1 = math.log(ex / (ez * ey)) / (4 * dt)
-    k2 = math.log(ey / (ez * ex)) / (4 * dt)
-    k3 = math.log(ez / (ey * ex)) / (4 * dt)
-    return k1, k2, k3
+def _inverse(p):
+    """Exact mitigation toward a zero target: the plain channel inverse,
+    whatever the step length."""
+    return exact_coeffs(PauliRates(), p, 0.5)
 
 
 def test_channel_superop_identity():
@@ -76,7 +71,7 @@ def test_fully_depolarizing_channel_maps_to_maximally_mixed(rng):
 
 def test_uniform_channel_transfer_eigenvalues():
     e = lambda_to_transfer(PauliChannelParams(0.05, 0.05, 0.05))
-    assert e.as_tuple() == pytest.approx((0.8, 0.8, 0.8), abs=1e-15)
+    assert e == pytest.approx((0.8, 0.8, 0.8), abs=1e-15)
 
 
 def test_channel_params_validation():
@@ -90,12 +85,12 @@ def test_channel_params_validation():
 
 
 def test_transfer_identity_map():
-    q = transfer_to_coeffs(TransferEigenvalues(1.0, 1.0, 1.0))
+    q = transfer_to_coeffs((1.0, 1.0, 1.0))
     assert q.as_tuple() == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_transfer_reciprocal_of_uniform_point_eight():
-    q = transfer_to_coeffs(TransferEigenvalues(1 / 0.8, 1 / 0.8, 1 / 0.8))
+    q = transfer_to_coeffs((1 / 0.8, 1 / 0.8, 1 / 0.8))
     assert q.q0 == pytest.approx(1.1875, abs=1e-13)
     assert q.q1 == q.q2 == q.q3
     assert q.q1 == pytest.approx(-0.0625, abs=1e-13)
@@ -123,16 +118,16 @@ def test_coeff_validation():
 
 
 def test_exact_inverse_trivial():
-    assert exact_inverse_coeffs(PauliChannelParams(0, 0, 0)).as_tuple() == (1, 0, 0, 0)
+    assert _inverse(PauliChannelParams(0, 0, 0)).as_tuple() == (1, 0, 0, 0)
 
 
 def test_exact_inverse_uniform():
-    q = exact_inverse_coeffs(PauliChannelParams(0.05, 0.05, 0.05))
+    q = _inverse(PauliChannelParams(0.05, 0.05, 0.05))
     assert np.allclose(q.as_tuple()[1:], [-0.0625] * 3, atol=1e-13)
 
 
 def test_exact_inverse_general_matches_oracle():
-    q = exact_inverse_coeffs(PauliChannelParams(0.16, 0.12, 0.2))
+    q = _inverse(PauliChannelParams(0.16, 0.12, 0.2))
     oracle = _exact_inverse_oracle(0.16, 0.12, 0.2)
     assert np.allclose(q.as_tuple()[1:], oracle, atol=1e-13)
     assert q.q1 == pytest.approx(-0.5165945165945166, abs=1e-12)
@@ -142,37 +137,36 @@ def test_exact_inverse_undoes_channel(rng):
     for _ in range(10):
         lam = rng.uniform(0, 0.15, 3)
         p = PauliChannelParams(*lam)
-        prod = coeffs_to_superop(exact_inverse_coeffs(p)) @ channel_superop(p)
+        prod = coeffs_to_superop(_inverse(p)) @ channel_superop(p)
         assert max_abs_diff(prod, np.eye(4)) < 1e-12
 
 
 def test_exact_inverse_rejects_singular_channel():
     with pytest.raises(ValueError):
-        exact_inverse_coeffs(PauliChannelParams(0.0, 0.25, 0.25))
+        _inverse(PauliChannelParams(0.0, 0.25, 0.25))
 
 
 def test_general_exact_identity_when_rates_match():
     r = PauliRates(0.2, 0.1, 0.3)
-    assert general_exact_coeffs(r, r, 0.5).as_tuple() == pytest.approx((1, 0, 0, 0), abs=1e-15)
+    assert exact_coeffs(r, r, 0.5).as_tuple() == pytest.approx((1, 0, 0, 0), abs=1e-15)
 
 
 def test_general_exact_uniform_device():
-    q = general_exact_coeffs(PauliRates(), PauliRates(0.1, 0.1, 0.1), 0.5)
+    q = exact_coeffs(PauliRates(), PauliRates(0.1, 0.1, 0.1), 0.5)
     expected = (1 - math.exp(0.2)) / 4
     assert np.allclose(q.as_tuple()[1:], [expected] * 3, atol=1e-14)
     assert q.q1 == pytest.approx(-0.055350689540042464, abs=1e-12)
 
 
 def test_general_exact_x_only_device():
-    q = general_exact_coeffs(PauliRates(), PauliRates(0.3, 0, 0), 0.5)
+    q = exact_coeffs(PauliRates(), PauliRates(0.3, 0, 0), 0.5)
     assert q.q1 == pytest.approx((1 - math.exp(0.3)) / 2, abs=1e-14)
     assert q.q1 == pytest.approx(-0.1749294037880016, abs=1e-12)
     assert q.q2 == q.q3 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_general_exact_open_digital_rates():
-    device = lambda_to_kappa(PauliChannelParams(0.16, 0.12, 0.2), 0.5)
-    q = general_exact_coeffs(PauliRates(0.3, 0, 0), device, 0.5)
+    q = exact_coeffs(PauliRates(0.3, 0, 0), PauliChannelParams(0.16, 0.12, 0.2), 0.5)
     assert q.q1 == pytest.approx(-0.13791983901910432, abs=1e-12)
 
 
@@ -181,7 +175,7 @@ def test_general_exact_matches_four_term_oracle(rng):
         g = tuple(rng.uniform(0, 0.5, 3))
         k = tuple(rng.uniform(0, 0.5, 3))
         dt = rng.uniform(0.05, 1.0)
-        q = general_exact_coeffs(PauliRates(*g), PauliRates(*k), dt)
+        q = exact_coeffs(PauliRates(*g), PauliRates(*k), dt)
         assert np.allclose(q.as_tuple(), _general_oracle(g, k, dt), atol=1e-12)
 
 
@@ -208,35 +202,11 @@ def test_linear_inverse_examples():
     assert q.q2 == q.q3 == 0.0
 
 
-def test_lambda_to_kappa_exact():
-    k = lambda_to_kappa(PauliChannelParams(0.05, 0.05, 0.05), 0.5)
-    expected = 0.5 * math.log(1 / 0.8)
-    assert np.allclose(k.as_tuple(), [expected] * 3, atol=1e-14)
-    assert k.gx == pytest.approx(0.11157177565710488, abs=1e-12)
-
-
-def test_lambda_to_kappa_matches_log_oracle(rng):
-    for _ in range(20):
-        lam = rng.uniform(0, 0.15, 3)
-        oracle = _kappa_oracle(*lam, 0.5)
-        if min(oracle) < -1e-12:
-            # a physical channel need not divide into nonnegative rates
-            with pytest.raises(ValueError):
-                lambda_to_kappa(PauliChannelParams(*lam), 0.5)
-        else:
-            k = lambda_to_kappa(PauliChannelParams(*lam), 0.5)
-            assert np.allclose(k.as_tuple(), oracle, atol=1e-12)
-
-
-def test_lambda_to_kappa_rejects_non_divisible_channel():
-    # one vanishing component forces a negative formal rate
-    with pytest.raises(ValueError, match="decomposition"):
-        lambda_to_kappa(PauliChannelParams(0.05, 0.05, 0.0), 0.5)
-
-
-def test_lambda_to_kappa_rejects_strong_channel():
-    with pytest.raises(ValueError):
-        lambda_to_kappa(PauliChannelParams(0.3, 0.2, 0.1), 0.5)
+def test_exact_rejects_bad_step_and_singular_analog_device():
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        exact_coeffs(PauliRates(), PauliChannelParams(0.1, 0, 0), 0.0)
+    with pytest.raises(ValueError, match="singular"):
+        exact_coeffs(PauliRates(), PauliRates(40.0, 0.0, 0.0), 0.5)
 
 
 def test_kappa_to_lambda_uniform():
@@ -247,16 +217,17 @@ def test_kappa_to_lambda_uniform():
 
 
 def test_kappa_lambda_roundtrip(rng):
-    count = 0
-    while count < 10:
-        rates = rng.uniform(0, 0.4, 3)
-        dt = rng.uniform(0.1, 1.0)
-        lam = kappa_to_lambda(PauliRates(*rates), dt)
-        if lam.lx + lam.ly + lam.lz > 0.5:
-            continue  # outside the weak-channel domain of the exact mode
-        back = lambda_to_kappa(lam, dt)
-        assert np.allclose(back.as_tuple(), rates, atol=1e-12)
-        count += 1
+    # rates -> the channel of their step -> exact mitigation gives the
+    # analog device's coefficients, strong channels (lx+ly+lz > 1/2) included
+    cases = [((0.5, 0.5, 0.5), 1.0)]
+    cases += [(rng.uniform(0, 0.8, 3), rng.uniform(0.1, 1.0)) for _ in range(20)]
+    for rates, dt in cases:
+        k = PauliRates(*rates)
+        lam = kappa_to_lambda(k, dt)
+        for g in (PauliRates(), PauliRates(*rng.uniform(0, 0.5, 3))):
+            digital = exact_coeffs(g, lam, dt).as_tuple()
+            assert max_abs_diff(digital, exact_coeffs(g, k, dt).as_tuple()) < 1e-12
+    assert sum(kappa_to_lambda(PauliRates(0.5, 0.5, 0.5), 1.0).as_tuple()) > 0.5
 
 
 def test_kappa_to_lambda_matches_exponential(rng):
@@ -285,7 +256,7 @@ def test_general_coeffs_convert_device_into_target(rng):
         g = PauliRates(*rng.uniform(0, 0.5, 3))
         k = PauliRates(*rng.uniform(0, 0.5, 3))
         dt = rng.uniform(0.1, 1.0)
-        m = coeffs_to_superop(general_exact_coeffs(g, k, dt))
+        m = coeffs_to_superop(exact_coeffs(g, k, dt))
         lhs = m @ expm(pauli_dissipator(k) * dt)
         rhs = expm(pauli_dissipator(g) * dt)
         assert max_abs_diff(lhs, rhs) < 1e-12
@@ -300,7 +271,7 @@ _GRID_DTS = [0.1, 0.5, 1.0]
 @pytest.mark.parametrize("k", _GRID_DEVICES)
 @pytest.mark.parametrize("dt", _GRID_DTS)
 def test_general_coeffs_grid_invariants(g, k, dt):
-    q = general_exact_coeffs(PauliRates(*g), PauliRates(*k), dt)
+    q = exact_coeffs(PauliRates(*g), PauliRates(*k), dt)
     assert abs(sum(q.as_tuple()) - 1.0) <= 1e-12
     assert q.q0 > 0.25
     lhs = coeffs_to_superop(q) @ expm(pauli_dissipator(PauliRates(*k)) * dt)
@@ -309,10 +280,10 @@ def test_general_coeffs_grid_invariants(g, k, dt):
 
 
 def test_exact_inverse_consistent_with_general_route():
+    # the per-axis reciprocal against a general 4x4 matrix inversion
     lam = PauliChannelParams(0.16, 0.12, 0.2)
-    direct = exact_inverse_coeffs(lam)
-    via_rates = general_exact_coeffs(PauliRates(), lambda_to_kappa(lam, 0.5), 0.5)
-    assert np.allclose(direct.as_tuple(), via_rates.as_tuple(), atol=1e-12)
+    direct = coeffs_to_superop(_inverse(lam))
+    assert max_abs_diff(direct, np.linalg.inv(channel_superop(lam))) < 1e-12
 
 
 def test_first_order_agrees_with_general_to_second_order():
@@ -321,7 +292,7 @@ def test_first_order_agrees_with_general_to_second_order():
     diffs = []
     for dt in dts:
         qa = np.array(first_order_coeffs(g, tuple(x * dt for x in k.as_tuple()), dt).as_tuple())
-        qb = np.array(general_exact_coeffs(g, k, dt).as_tuple())
+        qb = np.array(exact_coeffs(g, k, dt).as_tuple())
         diffs.append(np.max(np.abs(qa - qb)))
     slope = np.polyfit(np.log(dts), np.log(diffs), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
@@ -380,11 +351,10 @@ def test_expected_superop_matches_coeffs_when_unbiased(rng):
 )
 def test_all_constructors_produce_unit_sum(lam):
     p = PauliChannelParams(*lam)
-    assume(min(_kappa_oracle(*lam, 0.5)) >= 0.0)  # rate decomposition must exist
     for q in (
-        exact_inverse_coeffs(p),
+        _inverse(p),
         first_order_coeffs(PauliRates(), lam, 0.5),
-        general_exact_coeffs(PauliRates(), lambda_to_kappa(p, 0.5), 0.5),
+        exact_coeffs(PauliRates(0.3, 0.0, 0.1), p, 0.5),
     ):
         assert abs(sum(q.as_tuple()) - 1.0) <= 1e-12
         d = sampling_distribution(q)

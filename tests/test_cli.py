@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -186,6 +187,33 @@ def test_diagnose_commuting_case(tmp_path, capsys):
     assert float(comm.split("=")[1]) < 1e-13
 
 
+@pytest.mark.parametrize("lam", ["0.05", "0.3"])
+def test_open_exact_runs_on_a_channel_without_rates(tmp_path, capsys, lam):
+    # noise_lz = 0: no nonnegative rates give this channel, and at 0.3 it
+    # has no real logarithm either
+    cfg = _write(tmp_path, "open.cfg",
+                 f"hardware = digital\nnoise_lx = {lam}\nnoise_ly = {lam}\n"
+                 "target_gx = 0.3\nsteps = 4\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--samples", "256", "--output", str(out)]) == 0
+    assert len((out / "open.csv").read_text().splitlines()) == 6
+    if lam == "0.05":
+        assert main(["diagnose", "--config", str(cfg)]) == 0
+
+
+def test_diagnose_refuses_a_channel_without_real_logarithm(tmp_path, capsys):
+    cfg = _write(tmp_path, "neg.cfg",
+                 "hardware = digital\nnoise_lx = 0.3\nnoise_ly = 0.3\ntarget_gx = 0.3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diagnose", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: channel with transfer eigenvalues ")
+    assert captured.err.rstrip().endswith("has no real logarithm")
+    assert "nan" not in captured.err
+
+
 @pytest.mark.parametrize(
     "hardware, device", [("digital", PauliChannelParams()), ("analog", PauliRates())]
 )
@@ -339,6 +367,29 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys, cfg_text, sampl
     assert main(args + [str(existing / "out")]) == 2
     assert existing.is_dir() and not any(existing.iterdir())
     assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_a_nan_in_a_later_series_leaves_no_file_and_no_directory(tmp_path, capsys, monkeypatch):
+    simulate = cli.simulate
+
+    def simulate_with_nan_in_third_series(configs, workers=None):
+        results = simulate(configs, workers=workers)
+        series, stats = results[2]
+        ideal = series.ideal.copy()
+        ideal[1] = np.nan
+        results[2] = (replace(series, ideal=ideal), stats)
+        return results
+
+    monkeypatch.setattr(cli, "simulate", simulate_with_nan_in_third_series)
+    args = ["figure", "fig5", "--samples", "0", "--svg", "--output"]
+    assert main(args + [str(tmp_path / "new" / "out")]) == 2
+    assert not (tmp_path / "new").exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert main(args + [str(existing)]) == 2
+    assert not any(existing.iterdir())
+    err = capsys.readouterr().err
+    assert err.count("error: ideal: NaN at step 1 ") == 2 and "fig5_betapi2.csv" in err
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])

@@ -327,6 +327,16 @@ def test_digital_and_analog_open_exact_are_equivalent():
             assert max_abs_diff(plan.mitigation @ plan.deterministic, split) < 1e-12
 
 
+@pytest.mark.parametrize("lam", [(0.05, 0.05, 0.0), (0.3, 0.3, 0.0)], ids=["weak", "ez<0"])
+def test_open_exact_on_a_channel_without_rates_reaches_the_target_noise(lam):
+    # neither channel is exp(L dt) for nonnegative rates, and the second
+    # (ez = -0.2) has no real logarithm; the mitigation map needs neither
+    device = PauliChannelParams(*lam)
+    cfg = ScenarioConfig(hardware="digital", device=device, target=GAMMA_X)
+    after_channel = build_scenario(cfg).mitigation @ channel_superop(device)
+    assert max_abs_diff(after_channel, expm(pauli_dissipator(GAMMA_X) * cfg.dt)) < 1e-12
+
+
 def test_no_trotter_error_when_rate_mismatch_is_depolarizing():
     # device = target + uniform excess: the mismatch commutes with every
     # Hamiltonian, so exact mitigation is error-free for all beta
