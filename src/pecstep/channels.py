@@ -174,8 +174,13 @@ def linear_inverse_coeffs(device: PauliRates, dt: float) -> MitigationCoeffs:
     rate*dt); differs from first_order_coeffs at second order in rate*dt."""
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    eps = PauliChannelParams(device.gx * dt, device.gy * dt, device.gz * dt)
-    return exact_coeffs(PauliRates(), eps, dt)
+    eps = (device.gx * dt, device.gy * dt, device.gz * dt)
+    if sum(eps) > 1.0 + 1e-15:  # the bound PauliChannelParams puts on lx+ly+lz
+        raise ValueError(
+            f"(noise_kx + noise_ky + noise_kz) * dt = {sum(eps)} > 1: the linearized "
+            "device channel is not physical; lower dt or the noise rates"
+        )
+    return exact_coeffs(PauliRates(), PauliChannelParams(*eps), dt)
 
 
 def _sign(x: float) -> int:

@@ -38,9 +38,12 @@ that one draw buffer, however many steps a plan has; no kernel ever holds
 a chunk's whole uniform block.  The chunk is split as
 numpy's pairwise summation splits a sum and the sub-block partials are
 merged back with the centered-moment formula used across chunks, so the
-observable sums s1 equal the unsplit ones bit for bit.  A step
-applies only the nonzero coefficients of the deterministic map (_rotate)
-and turns a branch factor -1 into a flip of the sign bit.  run_ensemble
+observable sums s1 equal the unsplit ones bit for bit.  A map's
+ensemble holds only the components RHO0 can reach, the closure of {t, z}
+under the map's nonzero pattern (_support): the others stay zero, so
+dropping them changes no sum.  A step applies only the nonzero
+coefficients of the map restricted to them (_rotate), and a branch factor
+-1 on a component becomes one xor of its sign bytes.  run_ensemble
 runs the chunks in this process, or on a WorkerPool shared by many calls,
 so that one command starts at most one process pool.
 
@@ -48,6 +51,7 @@ Every plan starts from RHO0 = |1><1|, the initial state of every
 experiment here.
 """
 
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -114,6 +118,20 @@ def _branch_tables(dist: SamplingDistribution):
     """Cumulative X/Y/Z probabilities and the weight sign of each branch,
     in branch order; a branch's weight is sign * gamma."""
     return np.cumsum(dist.mu_tuple()), np.array(dist.signs + (1,), dtype=float)
+
+
+def _support(rot: np.ndarray) -> list:
+    """The components that repeated steps of the 4x4 map rot can make
+    nonzero from RHO0, in component order: the closure of RHO0's support
+    {t, z} under rot's exact nonzero pattern.  Branch diagonals only flip
+    signs, so every other component of an ensemble state stays zero.  No
+    entry counts as zero unless it is exactly zero."""
+    reached = RHO0 != 0.0
+    while True:
+        grown = reached | (rot[:, reached] != 0.0).any(axis=1)
+        if (grown == reached).all():
+            return np.flatnonzero(reached).tolist()
+        reached = grown
 
 
 def _sparse_rows(rot: np.ndarray) -> list:
@@ -225,40 +243,50 @@ def _branch_codes(gen: np.random.Generator, cum: np.ndarray, rows: int, steps: i
 
 
 def _flips(sign: np.ndarray) -> list:
-    """flips[i]: the components whose sign-folded branch factor
-    sign[b] * BRANCH_DIAG[b] differs between branches i and i + 1.
-
-    Branch 3 (identity) has factor +1 everywhere, so the factor of branch t
-    follows from flipping the components flips[i] for every i >= t, that is
-    for every threshold cum[i] > u."""
-    fold = sign[:, None] * BRANCH_DIAG
-    return [np.flatnonzero(fold[i] != fold[i + 1]).tolist() for i in range(3)]
+    """flips[k]: the 4-bit set of branches whose sign-folded branch factor
+    sign[b] * BRANCH_DIAG[b, k] on component k is -1, bit b for branch b."""
+    return ((sign[:, None] * BRANCH_DIAG < 0).T @ (1 << np.arange(4))).tolist()
 
 
-def _block_stats(rot: list, flips: list, codes: np.ndarray, steps: int):
+def _block_stats(support: list, rot: list, flips: list, codes: np.ndarray, steps: int):
     """Partials (rows, s1, m2) of one sub-block over `steps` steps, from its
     packed branch codes (_branch_codes): the observable sum s1 and its
     centered second moment m2 (two-pass, which keeps the spread of a
     constant observable at zero), per step.
 
-    Each column of v holds sign(w_n) * (trace, x, y, z) of its trajectory:
-    a branch multiplies the state by its Pauli diagonal times its weight
-    sign, so the weight magnitude gamma^n is left to run_ensemble.  A
-    factor -1 is applied as an exact flip of the sign bit.
+    The state holds only the components of `support` (_support of the
+    map), which starts with t and ends with z; rot is _sparse_rows of the
+    map restricted to them and flips[i] is _flips' set for component
+    support[i].  Each column of v holds sign(w_n) times those coordinates
+    of its trajectory: a branch multiplies the state by its Pauli diagonal
+    times its weight sign, so the weight magnitude gamma^n is left to
+    run_ensemble.  A factor -1 is an exact flip of the sign bit: every four
+    steps, as a byte row is unpacked, each flipping component gets a byte
+    mask (flips[i] << (7 - code)) & 0x80 per step, which holds the sign bit
+    just where its set has the step's branch, and each step xors it into
+    the component's sign bytes, one strided uint8 xor per component.
     """
     rows = codes.shape[1]
-    v = np.empty((4, rows))
-    v[...] = RHO0[:, None]
+    v = np.empty((len(support), rows))
+    v[...] = RHO0[support, None]
     out = np.empty_like(v)
     tmp = np.empty(rows)
     quad = np.empty((4, rows), dtype=np.uint8)
     shifts = np.arange(0, 8, 2, dtype=np.uint8)[:, None]  # code j of a byte sits at bit 2j
-    flip = np.empty(rows, dtype=np.uint64)
+    flipping = [i for i, f in enumerate(flips) if f]
+    sets = np.array([flips[i] for i in flipping], dtype=np.uint8)[:, None, None]
+    masks = np.empty((len(flipping), 4, rows), dtype=np.uint8)
+    byte = 7 if sys.byteorder == "little" else 0  # the byte of a float64 that holds its sign
+
+    def sign_bytes(a):
+        return a.view(np.uint8)[:, byte::8]
+
+    signs, signs_out = sign_bytes(v), sign_bytes(out)
     s1 = np.zeros(steps + 1)
     m2 = np.zeros(steps + 1)
 
     def record(step):
-        obs = np.add(v[0], v[3], out=tmp)
+        obs = np.add(v[0], v[-1], out=tmp)
         obs *= 0.5  # <1|rho|1> = (trace + z) / 2
         s1[step] = obs.sum()
         obs -= s1[step] / rows
@@ -270,16 +298,14 @@ def _block_stats(rot: list, flips: list, codes: np.ndarray, steps: int):
         if s & 3 == 0:  # unpack steps s .. s + 3 from byte row s // 4
             np.right_shift(codes[s >> 2], shifts, out=quad)
             quad &= 3
-        code = quad[s & 3]
+            np.subtract(7, quad, out=quad)  # moves bit `code` of a set to the sign bit
+            np.left_shift(sets, quad, out=masks)
+            masks &= 0x80
         _rotate(rot, v, out, tmp)
-        bits = out.view(np.uint64)
-        for i, components in enumerate(flips):
-            if components:
-                np.less_equal(code, i, out=flip)  # cum[i] > u, as 0 or 1
-                flip <<= 63  # the sign bit
-                for k in components:
-                    bits[k] ^= flip
+        for i, mask in zip(flipping, masks):
+            signs_out[i] ^= mask[s & 3]
         v, out = out, v
+        signs, signs_out = signs_out, signs
         record(s + 1)
     return rows, s1, m2
 
@@ -317,15 +343,18 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int) -> list:
     """
     steps = plan.steps
     cum, sign = _branch_tables(plan.distribution)
-    rots = [_sparse_rows(m) for m in np.reshape(plan.deterministic, (-1, 4, 4))]
     flips = _flips(sign)
+    kernels = []
+    for m in np.reshape(plan.deterministic, (-1, 4, 4)):
+        support = _support(m)
+        kernels.append((support, _sparse_rows(m[np.ix_(support, support)]), [flips[k] for k in support]))
     gen = np.random.Generator(_philox(seed, chunk))
     leaf = min(SUB_ROWS, max(128, BLOCK_BYTES // max(steps, 1)))
 
     def stats(n):  # the generator's next n rows
         if n <= leaf:
             codes = _branch_codes(gen, cum, n, steps)
-            return [_block_stats(rot, flips, codes, steps) for rot in rots]
+            return [_block_stats(*kernel, codes, steps) for kernel in kernels]
         half = n // 2 - n // 2 % 8 or n // 2  # numpy's split; halves below 16 rows
         return [_merge(pair) for pair in zip(stats(half), stats(n - half))]
 

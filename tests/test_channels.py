@@ -202,6 +202,15 @@ def test_linear_inverse_examples():
     assert q.q2 == q.q3 == 0.0
 
 
+def test_linear_inverse_names_the_analog_keys_of_an_unphysical_step():
+    # (1 + 1 + 1) * 0.5 = 1.5: the message names the analog config's keys,
+    # not the channel probabilities lx, ly, lz it has no keys for
+    with pytest.raises(ValueError) as err:
+        linear_inverse_coeffs(PauliRates(1.0, 1.0, 1.0), 0.5)
+    assert str(err.value).startswith("(noise_kx + noise_ky + noise_kz) * dt = 1.5 > 1: ")
+    assert "lx" not in str(err.value)
+
+
 def test_exact_rejects_bad_step_and_singular_analog_device():
     with pytest.raises(ValueError, match="dt must be > 0"):
         exact_coeffs(PauliRates(), PauliChannelParams(0.1, 0, 0), 0.0)

@@ -353,6 +353,15 @@ def test_infinite_ideal_exits_with_message(tmp_path, capsys):
     assert not (tmp_path / "blowup.csv").exists()
 
 
+def test_unphysical_linear_inverse_step_names_analog_keys(tmp_path, capsys):
+    text = "hardware = analog\nmitigation = linear-inverse\nnoise_kx = 1\nnoise_ky = 1\nnoise_kz = 1\n"
+    cfg = _write(tmp_path, "unphysical.cfg", text)
+    assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: (noise_kx + noise_ky + noise_kz) * dt = 1.5 > 1: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cfg_text, samples", [
     (HEAVY_CFG + "steps = 2300\n", "256"),  # fails in simulate
     (LINEAR_INVERSE_CFG + "steps = 30700\nreference = none\n", "0"),  # fails in write_csv

@@ -613,3 +613,43 @@ def test_stacked_plan_equals_separate_runs_bit_for_bit(pool, pid, samples, on_po
 def test_single_map_plan_keeps_its_shapes():
     stats = run_ensemble(_plan(_fig1a(steps=4)), 10, seed=1)
     assert stats.mean.shape == stats.std.shape == stats.stderr.shape == (5,)
+
+
+_SERIES = [f"{pid}-{name}" if name else pid for pid, p in PRESETS.items() for name, _ in p.series]
+
+
+@pytest.mark.parametrize("series", _SERIES + ["fig8-stacked"])
+def test_reachable_support_keeps_the_statistics_bit_for_bit(monkeypatch, series):
+    # 70,000 samples: two chunks; the full support steps components that stay zero
+    pid, _, name = series.partition("-")
+    if name == "stacked":
+        plan = _stacked(pid)[1]
+    else:
+        plan = _plan(dict(PRESETS[pid].series)[name])
+    restricted = run_ensemble(plan, 70000, seed=9)
+    monkeypatch.setattr(sampling, "_support", lambda rot: [0, 1, 2, 3])
+    full = run_ensemble(plan, 70000, seed=9)
+    assert np.array_equal(restricted.mean, full.mean)
+    assert np.array_equal(restricted.std, full.std)
+
+
+def test_support_is_the_closure_of_the_initial_components():
+    assert sampling._support(_plan(_fig1a()).deterministic) == [0, 1, 3]  # y stays 0 at beta = 0
+    plans, _ = _stacked("fig8")
+    assert [sampling._support(p.deterministic) for p in plans] == [[0, 1, 3], [0, 1, 2, 3], [0, 1, 2, 3]]
+    # at beta = pi/2 z reaches x only through an entry of about 4e-17, which counts
+    assert 0 < abs(plans[2].deterministic[1, 3]) < 1e-15
+    hops = np.diag([1.0, 0.5, 0.5, 0.5])
+    hops[1, 3] = 0.25  # z -> x
+    hops[2, 1] = 0.25  # x -> y: y is two hops from z and none from t or z
+    assert sampling._support(hops) == [0, 1, 2, 3]
+    hops[1, 3] = 0.0
+    assert sampling._support(hops) == [0, 3]
+
+
+@pytest.mark.parametrize("signs", list(itertools.product((-1, 1), repeat=3)))
+def test_flip_sets_rebuild_the_sign_folded_branch_factors(signs):
+    sign = np.array(signs + (1,), dtype=float)
+    flips = sampling._flips(sign)
+    factors = np.array([[-1.0 if f >> b & 1 else 1.0 for f in flips] for b in range(4)])
+    assert np.array_equal(factors, sign[:, None] * sampling.BRANCH_DIAG)

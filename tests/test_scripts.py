@@ -59,6 +59,17 @@ def test_reproduce_figures_unknown_preset_exits_2(tmp_path):
     assert "unknown preset 'fig99'" in proc.stderr and "fig1a" in proc.stderr
 
 
+def test_kernel_stages_prints_one_row_per_sub_block(tmp_path):
+    proc = _script(tmp_path, "kernel_stages.py", "--rows", "200", "--repeats", "1")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(" | ") for line in proc.stdout.splitlines()[2:]]
+    names = [r[0].lstrip("| ") for r in rows]
+    assert names == ["fig1a", "fig8 beta0", "fig8 betapi4", "fig8 betapi2", "long_horizon"]
+    assert [r[1] for r in rows] == ["200 x 20"] * 4 + ["200 x 2000"]
+    for r in rows:
+        assert all(float(cell.split()[0]) > 0 for cell in r[2:5])  # ms of draw, codes, leaf
+
+
 def _runs(path, workload, walls, rss):
     lines = [
         json.dumps({"workload": workload, "seed": seed, "seconds": 24, "trace": 0, "rounds": 9,
