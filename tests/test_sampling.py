@@ -641,7 +641,7 @@ def test_support_is_the_closure_of_the_initial_components():
     assert 0 < abs(plans[2].deterministic[1, 3]) < 1e-15
     hops = np.diag([1.0, 0.5, 0.5, 0.5])
     hops[1, 3] = 0.25  # z -> x
-    hops[2, 1] = 0.25  # x -> y: y is two hops from z and none from t or z
+    hops[2, 1] = 0.25  # x -> y: y is two hops from z, and neither t nor z reaches it directly
     assert sampling._support(hops) == [0, 1, 2, 3]
     hops[1, 3] = 0.0
     assert sampling._support(hops) == [0, 3]
