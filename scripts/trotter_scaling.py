@@ -15,11 +15,11 @@ import numpy as np
 
 from pecstep.channels import PauliChannelParams
 from pecstep.generators import PauliRates
-from pecstep.scenarios import ScenarioConfig, trotter_error_norm
+from pecstep.scenarios import ScenarioConfig, diagnostics
 
 
 def sweep(label: str, cfg: ScenarioConfig, dts) -> None:
-    errs = [trotter_error_norm(replace(cfg, dt=dt)) for dt in dts]
+    errs = [diagnostics(replace(cfg, dt=dt))["one_step_error"] for dt in dts]
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     print(f"{label} (beta={cfg.beta:.3f})")
     for dt, err in zip(dts, errs):

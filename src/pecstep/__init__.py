@@ -39,7 +39,6 @@ from .scenarios import (
     mitigation_coeffs,
     reference_value,
     simulate,
-    trotter_error_norm,
 )
 
 __all__ = [
@@ -75,5 +74,4 @@ __all__ = [
     "mitigation_coeffs",
     "reference_value",
     "simulate",
-    "trotter_error_norm",
 ]

@@ -41,7 +41,7 @@ from .channels import PauliChannelParams
 from .generators import PauliRates
 from .presets import PRESETS, preset, with_overrides
 from .sampling import WorkerPool
-from .scenarios import ScenarioConfig, TimeSeries, diagnostics, simulate
+from .scenarios import HARDWARE, ScenarioConfig, TimeSeries, diagnostics, simulate
 
 CSV_HEADER = "step,t,ideal,reference,mc_mean,mc_stderr,fidelity"
 
@@ -82,13 +82,14 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return values
 
 
-def _number(values: dict, key: str, convert):
+def _number(values: dict, key: str):
     if key not in values:
         return None
+    convert, kind = (int, "an integer") if key in _INT_KEYS else (float, "a number")
     try:
         number = convert(values[key])
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {values[key]!r}") from None
+        raise ConfigError(f"{key}: expected {kind}, got {values[key]!r}") from None
     if not math.isfinite(number):
         raise ConfigError(f"{key}: expected a finite number, got {values[key]!r}")
     return number
@@ -98,11 +99,11 @@ def config_from_values(values: dict) -> ScenarioConfig:
     if "hardware" not in values:
         raise ConfigError("hardware: missing required key")
     hardware = values["hardware"]
-    if hardware not in ("digital", "analog"):
+    if hardware not in HARDWARE:
         raise ConfigError(f"hardware: expected digital or analog, got {hardware!r}")
 
-    lam = [_number(values, k, float) for k in _TRIPLES["lambda"]]
-    kap = [_number(values, k, float) for k in _TRIPLES["kappa"]]
+    lam = [_number(values, k) for k in _TRIPLES["lambda"]]
+    kap = [_number(values, k) for k in _TRIPLES["kappa"]]
     if hardware == "digital":
         if any(v is not None for v in kap):
             raise ConfigError("noise_kx: rate keys are for analog hardware; use noise_lx/ly/lz")
@@ -113,13 +114,12 @@ def config_from_values(values: dict) -> ScenarioConfig:
         device = PauliRates(*(0.0 if v is None else v for v in kap))
 
     target = PauliRates(
-        *(0.0 if v is None else v for v in (_number(values, k, float) for k in _TRIPLES["target"]))
+        *(0.0 if v is None else v for v in (_number(values, k) for k in _TRIPLES["target"]))
     )
 
     # keys absent from the file take the ScenarioConfig defaults
     kwargs = dict(hardware=hardware, device=device, target=target)
-    kwargs.update((k, _number(values, k, float)) for k in _FLOAT_KEYS if k in values)
-    kwargs.update((k, _number(values, k, int)) for k in _INT_KEYS if k in values)
+    kwargs.update((k, _number(values, k)) for k in _FLOAT_KEYS + _INT_KEYS if k in values)
     if "mitigation" in values:
         kwargs["mitigation"] = values["mitigation"]
     if "reference" in values:
@@ -135,26 +135,18 @@ def load_config(path) -> ScenarioConfig:
 
 
 def config_echo(cfg: ScenarioConfig) -> dict:
+    """The config as the file keys that load it back."""
     echo = {
         "hardware": cfg.hardware,
         "mitigation": cfg.mitigation,
-        "omega": cfg.omega,
-        "beta": cfg.beta,
-        "dt": cfg.dt,
-        "steps": cfg.steps,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "target_gx": cfg.target.gx,
-        "target_gy": cfg.target.gy,
-        "target_gz": cfg.target.gz,
         "reference": "none" if cfg.reference is None else cfg.reference,
     }
-    if isinstance(cfg.device, PauliChannelParams):
-        echo.update(noise_lx=cfg.device.lx, noise_ly=cfg.device.ly, noise_lz=cfg.device.lz)
-    else:
-        echo.update(noise_kx=cfg.device.gx, noise_ky=cfg.device.gy, noise_kz=cfg.device.gz)
-    if cfg.bias is not None:
-        echo["bias"] = cfg.bias
+    for key in _FLOAT_KEYS + _INT_KEYS:
+        if getattr(cfg, key) is not None:
+            echo[key] = getattr(cfg, key)
+    device = "lambda" if cfg.hardware == "digital" else "kappa"
+    echo.update(zip(_TRIPLES["target"], cfg.target.as_tuple()))
+    echo.update(zip(_TRIPLES[device], cfg.device.as_tuple()))
     return echo
 
 
@@ -223,61 +215,54 @@ def _workers() -> int:
     return workers
 
 
-def _run_series(named_configs, out_dir: Path, stem: str, want_svg: bool):
-    """Simulate the series and write their files into out_dir.  Every series
-    is checked before out_dir is made, so a NaN or inf in any of them leaves
-    no file and no directory behind."""
+def _run_series(args, stem: str, named_configs) -> int:
+    """Simulate the series under the --samples and --seed overrides, write
+    their files into --output and print their names.  Every series is
+    checked before the directory is made, so a NaN or inf in any of them
+    leaves no file and no directory behind."""
+    names = [name for name, _ in named_configs]
+    configs = [with_overrides(cfg, samples=args.samples, seed=args.seed) for _, cfg in named_configs]
+    out_dir = Path(args.output)
     workers = _workers()
     t0 = time.perf_counter()
     outputs = []
-    configs = []
+    echoes = []
     with WorkerPool(workers) as pool:  # one pool for every series of the run
-        results = simulate([cfg for _, cfg in named_configs], workers=pool)
-    bases = [stem if not name else f"{stem}_{name}" for name, _ in named_configs]
+        results = simulate(configs, workers=pool)
+    bases = [stem if not name else f"{stem}_{name}" for name in names]
     for base, (series, _) in zip(bases, results):
         _defined_columns(out_dir / f"{base}.csv", series)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for base, (name, cfg), (series, _) in zip(bases, named_configs, results):
+    for base, name, cfg, (series, _) in zip(bases, names, configs, results):
         csv_path = out_dir / f"{base}.csv"
         write_csv(csv_path, series)
         outputs.append(csv_path.name)
-        if want_svg:
+        if args.svg:
             svg_path = out_dir / f"{base}.svg"
             write_svg(svg_path, base, series)
             outputs.append(svg_path.name)
-        configs.append({"series": name or stem, **config_echo(cfg)})
+        echoes.append({"series": name or stem, **config_echo(cfg)})
     manifest = {
         "artifact": "pecstep",
         "version": __version__,
         "outputs": outputs,
-        "configs": configs,
+        "configs": echoes,
         "wall_clock_s": round(time.perf_counter() - t0, 3),
     }
     manifest_path = out_dir / f"{stem}.manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return outputs + [manifest_path.name]
+    for name in outputs + [manifest_path.name]:
+        print(name)
+    return 0
 
 
 def cmd_figure(args) -> int:
     p = preset(args.id)
-    samples = args.samples
-    configs = [
-        (name, with_overrides(cfg, samples=samples, seed=args.seed)) for name, cfg in p.series
-    ]
-    outputs = _run_series(configs, Path(args.output), p.id, args.svg)
-    for name in outputs:
-        print(name)
-    return 0
+    return _run_series(args, p.id, p.series)
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    cfg = with_overrides(cfg, samples=args.samples, seed=args.seed)
-    stem = Path(args.config).stem
-    outputs = _run_series([("", cfg)], Path(args.output), stem, args.svg)
-    for name in outputs:
-        print(name)
-    return 0
+    return _run_series(args, Path(args.config).stem, [("", load_config(args.config))])
 
 
 def cmd_diagnose(args) -> int:
@@ -311,20 +296,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pecstep {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fig = sub.add_parser("figure", help="run a bundled figure preset")
+    outputs = argparse.ArgumentParser(add_help=False)  # the flags figure and run share
+    outputs.add_argument("--samples", type=int, default=None, help="override ensemble size")
+    outputs.add_argument("--seed", type=int, default=None, help="override RNG seed")
+    outputs.add_argument("--output", default="out", help="output directory (default: out)")
+    outputs.add_argument("--svg", action="store_true", help="emit an SVG chart per CSV")
+
+    fig = sub.add_parser("figure", parents=[outputs], help="run a bundled figure preset")
     fig.add_argument("id", metavar="ID", help=f"one of: {', '.join(sorted(PRESETS))}")
-    fig.add_argument("--samples", type=int, default=None, help="override ensemble size")
-    fig.add_argument("--seed", type=int, default=None, help="override RNG seed")
-    fig.add_argument("--output", default="out", help="output directory (default: out)")
-    fig.add_argument("--svg", action="store_true", help="emit an SVG chart per CSV")
     fig.set_defaults(func=cmd_figure)
 
-    run = sub.add_parser("run", help="run a custom configuration file")
+    run = sub.add_parser("run", parents=[outputs], help="run a custom configuration file")
     run.add_argument("--config", required=True)
-    run.add_argument("--samples", type=int, default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--output", default="out")
-    run.add_argument("--svg", action="store_true")
     run.set_defaults(func=cmd_run)
 
     diag = sub.add_parser("diagnose", help="print commutator norms and mitigation diagnostics")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expm, frobenius_norm, pauli_coords, pauli_to_density
+from .linalg import expm, pauli_coords, pauli_to_density
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    return frobenius_norm(commutator(a, b))
+    return float(np.linalg.norm(commutator(a, b)))
 
 
 def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> None:

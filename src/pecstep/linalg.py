@@ -134,6 +134,3 @@ def orbit(maps, r0: np.ndarray) -> np.ndarray:
     r[1:] = np.einsum("blij,bj->bli", p, start).reshape(-1, 4)[:n]
     return r
 
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a)))

@@ -108,10 +108,13 @@ class EnsembleStats:
     samples: int
     mean: np.ndarray
     std: np.ndarray  # sample standard deviation (ddof=1)
-    stderr: np.ndarray  # std / sqrt(samples)
+
+    @property
+    def stderr(self) -> np.ndarray:
+        return self.std / np.sqrt(self.samples)
 
     def __getitem__(self, j) -> "EnsembleStats":
-        return EnsembleStats(self.samples, self.mean[j], self.std[j], self.stderr[j])
+        return EnsembleStats(self.samples, self.mean[j], self.std[j])
 
 
 def _branch_tables(dist: SamplingDistribution):
@@ -425,10 +428,5 @@ def run_ensemble(
     s1, m2 = (np.stack([m[i] for m in merged]).reshape(lead + (steps + 1,)) for i in (1, 2))
     mean = s1 / samples
     std = gamma_n * np.sqrt(m2 / (samples - 1)) if samples > 1 else np.zeros_like(s1)
-    return EnsembleStats(
-        samples=samples,
-        mean=gamma_n * mean,
-        std=std,
-        stderr=std / np.sqrt(samples),
-    )
+    return EnsembleStats(samples=samples, mean=gamma_n * mean, std=std)
 

@@ -34,7 +34,7 @@ from .generators import (
     pauli_dissipator,
     unitary_generator,
 )
-from .linalg import expm, frobenius_norm, orbit
+from .linalg import expm, orbit
 
 HARDWARE = ("digital", "analog")
 MITIGATIONS = ("exact", "first-order", "linear-inverse", "none")
@@ -380,25 +380,14 @@ def simulate(
     return results
 
 
-def one_step_error_norm(cfg: ScenarioConfig) -> float:
-    """Frobenius norm of (M C - exp((L_h + L_d) dt)) for a single step."""
-    plan = build_scenario(cfg)
-    return frobenius_norm(plan.mitigation @ plan.deterministic - _exact_step(cfg))
-
-
-def trotter_error_norm(cfg: ScenarioConfig) -> float:
-    """One-step splitting error of the exactly mitigated step."""
-    if cfg.mitigation != "exact":
-        raise ValueError("trotter_error_norm is defined for exact mitigation")
-    return one_step_error_norm(cfg)
-
-
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises below, naming its field
 def diagnostics(cfg: ScenarioConfig) -> dict:
-    """Commutator norms, coefficients and sampling overhead for a config.
+    """Commutator norms, the one-step map error ||M C - exp((L_h + L_d) dt)||,
+    coefficients and sampling overhead for a config.
 
     A digital device channel with transfer eigenvalues e enters as the
     generator diag(0, ln e) / dt, which needs every e > 0: the commutators
-    compare generators, not one-step maps.
+    compare generators, not one-step maps.  A NaN or inf raises ValueError.
     """
     if cfg.hardware == "digital":
         e = channels.lambda_to_transfer(cfg.device)
@@ -410,12 +399,17 @@ def diagnostics(cfg: ScenarioConfig) -> dict:
     unitary = unitary_generator(cfg.omega, cfg.beta)
     target = pauli_dissipator(cfg.target)
     plan = build_scenario(cfg)
-    return {
+    step_error = plan.mitigation @ plan.deterministic - _exact_step(cfg)
+    d = {
         "comm_target_unitary": commutator_norm(target, unitary),
         "comm_device_unitary": commutator_norm(device, unitary),
         "comm_diff_unitary": commutator_norm(target - device, unitary),
-        "one_step_error": frobenius_norm(plan.mitigation @ plan.deterministic - _exact_step(cfg)),
+        "one_step_error": float(np.linalg.norm(step_error)),
         "coeffs": mitigation_coeffs(cfg),
         "distribution": plan.distribution,
         "overhead": plan.distribution.prefactor,
     }
+    for name, value in d.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name}: {value} (the config overflows the float range)")
+    return d

@@ -20,10 +20,10 @@ from pecstep.scenarios import (
     ScenarioConfig,
     biased_predictions,
     build_scenario,
+    diagnostics,
     ideal_evolution,
     reference_value,
     simulate,
-    trotter_error_norm,
 )
 
 
@@ -91,7 +91,7 @@ def test_criterion_4_analog_closed_x_noise():
                 ideal_evolution(cfg).ideal - closed_form(np.arange(21) * 0.5)
             ).max()
             assert deviation > 1e-6
-            errs = [trotter_error_norm(replace(cfg, dt=dt)) for dt in dts]
+            errs = [diagnostics(replace(cfg, dt=dt))["one_step_error"] for dt in dts]
             slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
             assert abs(slope - 2.0) <= 0.1, f"{name}: slope {slope}"
 

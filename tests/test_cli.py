@@ -140,6 +140,9 @@ def test_run_unknown_figure_and_bad_config_exit_nonzero(tmp_path, capsys):
     bad = _write(tmp_path, "bad.cfg", "hardware = digital\nnoise_lx = abc\n")
     assert main(["run", "--config", str(bad), "--output", str(tmp_path)]) == 2
     assert "noise_lx" in capsys.readouterr().err
+    fractional = _write(tmp_path, "fractional.cfg", "hardware = digital\nsteps = 1.5\n")
+    assert main(["run", "--config", str(fractional), "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: steps: expected an integer, got '1.5'\n"
     negative_seed = _write(tmp_path, "neg.cfg", "hardware = digital\nseed = -1\n")
     for argv in (
         ["run", "--config", str(negative_seed), "--samples", "8"],
@@ -212,6 +215,16 @@ def test_diagnose_refuses_a_channel_without_real_logarithm(tmp_path, capsys):
     assert captured.err.startswith("error: channel with transfer eigenvalues ")
     assert captured.err.rstrip().endswith("has no real logarithm")
     assert "nan" not in captured.err
+
+
+def test_diagnose_refuses_an_overflowing_config(tmp_path, capsys):
+    cfg = _write(tmp_path, "big.cfg", "hardware = digital\nnoise_lx = 0.05\nomega = 1e200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diagnose", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: comm_device_unitary: inf ")
 
 
 @pytest.mark.parametrize(

@@ -608,6 +608,8 @@ def test_stacked_plan_equals_separate_runs_bit_for_bit(pool, pid, samples, on_po
         alone = run_ensemble(plan, samples, seed=5, workers=workers)
         for name in ("mean", "std", "stderr"):
             assert np.array_equal(getattr(together[j], name), getattr(alone, name)), name
+        assert np.array_equal(together[j].stderr, together.stderr[j])
+        assert np.array_equal(together[j].stderr, together.std[j] / np.sqrt(samples))
 
 
 def test_single_map_plan_keeps_its_shapes():

@@ -14,13 +14,12 @@ from pecstep.scenarios import (
     ScenarioConfig,
     biased_predictions,
     build_scenario,
+    diagnostics,
     ideal_evolution,
     mitigation_coeffs,
-    one_step_error_norm,
     reference_value,
     resolve_reference,
     simulate,
-    trotter_error_norm,
 )
 
 LAM_OPEN = PauliChannelParams(0.16, 0.12, 0.2)
@@ -275,14 +274,14 @@ def test_trotter_error_zero_for_commuting_digital_open():
     cfg = ScenarioConfig(
         hardware="digital", device=LAM_OPEN, target=GAMMA_X, beta=np.pi / 2
     )
-    assert trotter_error_norm(cfg) < 1e-12
+    assert diagnostics(cfg)["one_step_error"] < 1e-12
 
 
 def test_trotter_error_digital_open_scales_quadratically():
     cfg = ScenarioConfig(hardware="digital", device=LAM_OPEN, target=GAMMA_X, beta=0.0)
-    assert trotter_error_norm(cfg) > 0.0
+    assert diagnostics(cfg)["one_step_error"] > 0.0
     dts = np.array([0.25, 0.125, 0.0625, 0.03125])
-    errs = [trotter_error_norm(replace(cfg, dt=dt)) for dt in dts]
+    errs = [diagnostics(replace(cfg, dt=dt))["one_step_error"] for dt in dts]
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
 
@@ -291,14 +290,7 @@ def test_trotter_error_analog_closed_nonzero_without_target_noise():
     cfg = ScenarioConfig(
         hardware="analog", device=PauliRates(0.3, 0, 0), mitigation="exact", beta=0.0
     )
-    assert trotter_error_norm(cfg) > 0.01
-
-
-def test_trotter_error_requires_exact_mitigation():
-    cfg = ScenarioConfig(hardware="analog", device=PauliRates(0.1, 0, 0), mitigation="first-order")
-    with pytest.raises(ValueError):
-        trotter_error_norm(cfg)
-    one_step_error_norm(cfg)  # the unrestricted variant accepts any scheme
+    assert diagnostics(cfg)["one_step_error"] > 0.01
 
 
 # --- equivalences and fidelity-based scenarios ---
