@@ -26,6 +26,7 @@ Config files are flat `key = value` lines, '#' starts a comment.  Keys:
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -39,7 +40,7 @@ import numpy as np
 from . import __version__, svg
 from .channels import PauliChannelParams
 from .generators import PauliRates
-from .presets import PRESETS, preset, with_overrides
+from .presets import PRESETS, preset
 from .sampling import WorkerPool
 from .scenarios import HARDWARE, ScenarioConfig, TimeSeries, diagnostics, simulate
 
@@ -177,27 +178,6 @@ def write_csv(path, series: TimeSeries) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_svg(path, title: str, series: TimeSeries) -> None:
-    chart = svg.Chart(title=title, xlabel="t", ylabel="excited-state population")
-    chart.series.append(svg.Series("ideal", series.t, series.ideal, color="#d95f02"))
-    if series.reference is not None:
-        chart.series.append(
-            svg.Series("reference", series.t, series.reference, color="#1b9e77", dash="6,4")
-        )
-    if series.mc_mean is not None:
-        chart.series.append(
-            svg.Series(
-                "mc mean",
-                series.t,
-                series.mc_mean,
-                color="#7570b3",
-                yerr=series.mc_stderr,
-                markers=True,
-            )
-        )
-    svg.write(path, chart)
-
-
 def _workers() -> int:
     """The worker count PECSTEP_WORKERS asks for; when it is unset, the CPUs
     this process may run on."""
@@ -221,7 +201,8 @@ def _run_series(args, stem: str, named_configs) -> int:
     checked before the directory is made, so a NaN or inf in any of them
     leaves no file and no directory behind."""
     names = [name for name, _ in named_configs]
-    configs = [with_overrides(cfg, samples=args.samples, seed=args.seed) for _, cfg in named_configs]
+    overrides = {k: getattr(args, k) for k in ("samples", "seed") if getattr(args, k) is not None}
+    configs = [dataclasses.replace(cfg, **overrides) for _, cfg in named_configs]
     out_dir = Path(args.output)
     workers = _workers()
     t0 = time.perf_counter()
@@ -239,7 +220,7 @@ def _run_series(args, stem: str, named_configs) -> int:
         outputs.append(csv_path.name)
         if args.svg:
             svg_path = out_dir / f"{base}.svg"
-            write_svg(svg_path, base, series)
+            svg.write(svg_path, base, series)
             outputs.append(svg_path.name)
         echoes.append({"series": name or stem, **config_echo(cfg)})
     manifest = {

@@ -36,6 +36,7 @@ _B13 = (
 )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reaches the callers' NaN checks
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix; a real matrix gives a real one.
 

@@ -1,35 +1,16 @@
 """Minimal hand-emitted SVG line charts.
 
 Convenience output only; the CSV files are the contract.  One chart =
-axes with ticks, one polyline per series, optional error bars.
+axes with ticks, one polyline per curve of a `TimeSeries`, error bars on
+the Monte Carlo mean.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 34, 46
-
-
-@dataclass
-class Series:
-    label: str
-    x: np.ndarray
-    y: np.ndarray
-    color: str
-    dash: str | None = None  # e.g. "6,4"
-    yerr: np.ndarray | None = None
-    markers: bool = False
-
-
-@dataclass
-class Chart:
-    title: str
-    xlabel: str
-    ylabel: str
-    series: list[Series] = field(default_factory=list)
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
@@ -47,19 +28,22 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return out
 
 
-def render(chart: Chart) -> str:
-    """The chart as SVG text; it needs at least one series, and every value
-    must be finite."""
-    xs = np.concatenate([np.asarray(s.x, dtype=float) for s in chart.series])
-    ys = []
-    for s in chart.series:
-        y = np.asarray(s.y, dtype=float)
-        ys.append(y)
-        if s.yerr is not None:
-            ys += [y + s.yerr, y - s.yerr]
+def render(title: str, series) -> str:
+    """The chart of a `TimeSeries` as SVG text: the ideal curve, the
+    reference (dashed) and the Monte Carlo mean with error bars and markers
+    where they are defined; every value must be finite."""
+    # (label, y, color, dash attribute, error bars)
+    curves = [("ideal", series.ideal, "#d95f02", "", None)]
+    ys = [series.ideal]
+    if series.reference is not None:
+        curves.append(("reference", series.reference, "#1b9e77", ' stroke-dasharray="6,4"', None))
+        ys.append(series.reference)
+    if series.mc_mean is not None:
+        curves.append(("mc mean", series.mc_mean, "#7570b3", "", series.mc_stderr))
+        ys += [series.mc_mean, series.mc_mean + series.mc_stderr, series.mc_mean - series.mc_stderr]
     ys = np.concatenate(ys)
 
-    x0, x1 = float(xs.min()), float(xs.max())
+    x0, x1 = float(series.t.min()), float(series.t.max())
     y0, y1 = float(ys.min()), float(ys.max())
     pad = 0.05 * (y1 - y0 or 1.0)
     y0, y1 = y0 - pad, y1 + pad
@@ -80,7 +64,7 @@ def render(chart: Chart) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{chart.title}</text>',
+        f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
         f'<line x1="{px0}" y1="{py0}" x2="{px1}" y2="{py0}" stroke="black"/>',
         f'<line x1="{px0}" y1="{py0}" x2="{px0}" y2="{py1}" stroke="black"/>',
     ]
@@ -95,37 +79,34 @@ def render(chart: Chart) -> str:
             f'<text x="{px0 - 8}" y="{sy(t) + 4:.1f}" text-anchor="end">{t:g}</text>'
         )
     parts.append(
-        f'<text x="{(px0 + px1) / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle">{chart.xlabel}</text>'
+        f'<text x="{(px0 + px1) / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle">t</text>'
     )
     parts.append(
         f'<text x="16" y="{(py0 + py1) / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {(py0 + py1) / 2:.1f})">{chart.ylabel}</text>'
+        f'transform="rotate(-90 16 {(py0 + py1) / 2:.1f})">excited-state population</text>'
     )
 
     legend_y = MARGIN_T + 6
-    for s in chart.series:
-        y = np.asarray(s.y, dtype=float)
-        # one array expression per series; Python floats format faster than numpy scalars
-        px, py = sx(np.asarray(s.x, dtype=float)).tolist(), sy(y).tolist()
+    # one array expression per curve; Python floats format faster than numpy scalars
+    px = sx(series.t).tolist()
+    for label, y, color, dash, err in curves:
+        py = sy(y).tolist()
         pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
-        dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{s.color}" stroke-width="1.5"{dash}/>'
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
         )
-        if s.yerr is not None:
-            e = np.asarray(s.yerr, dtype=float)
-            for a, lo, hi in zip(px, sy(y - e).tolist(), sy(y + e).tolist()):
+        if err is not None:
+            for a, lo, hi in zip(px, sy(y - err).tolist(), sy(y + err).tolist()):
                 parts.append(
                     f'<line x1="{a:.2f}" y1="{lo:.2f}" '
-                    f'x2="{a:.2f}" y2="{hi:.2f}" stroke="{s.color}"/>'
+                    f'x2="{a:.2f}" y2="{hi:.2f}" stroke="{color}"/>'
                 )
-        if s.markers:
             for a, b in zip(px, py):
-                parts.append(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.5" fill="{s.color}"/>')
+                parts.append(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.5" fill="{color}"/>')
         parts.append(
             f'<line x1="{px1 - 130}" y1="{legend_y}" x2="{px1 - 110}" y2="{legend_y}" '
-            f'stroke="{s.color}" stroke-width="1.5"{dash}/>'
-            f'<text x="{px1 - 104}" y="{legend_y + 4}">{s.label}</text>'
+            f'stroke="{color}" stroke-width="1.5"{dash}/>'
+            f'<text x="{px1 - 104}" y="{legend_y + 4}">{label}</text>'
         )
         legend_y += 16
 
@@ -133,7 +114,7 @@ def render(chart: Chart) -> str:
     return "\n".join(parts)
 
 
-def write(path, chart: Chart) -> None:
+def write(path, title: str, series) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render(chart))
+        fh.write(render(title, series))
         fh.write("\n")

@@ -227,6 +227,18 @@ def test_diagnose_refuses_an_overflowing_config(tmp_path, capsys):
     assert captured.err.startswith("error: comm_device_unitary: inf ")
 
 
+@pytest.mark.parametrize("device", ["hardware = digital\nnoise_lx = 0.05", "hardware = analog\nnoise_kx = 0.1"],
+                         ids=["digital", "analog"])
+def test_run_on_an_overflowing_config_exits_without_a_warning(device, tmp_path, capsys):
+    cfg = _write(tmp_path, "big.cfg", device + "\nomega = 1e200\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # expm's overflow reaches the NaN check silently
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ideal: NaN at step 1 ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "hardware, device", [("digital", PauliChannelParams()), ("analog", PauliRates())]
 )

@@ -1,5 +1,6 @@
 """Golden CSVs and SVGs: each run below is regenerated through `cli.main`
-and must match its files in tests/golden/ byte for byte.
+and must match its files in tests/golden/ byte for byte.  The preset
+table must match tests/golden/presets.json.
 
 A golden may only be regenerated by a change that says why and tables
 every field that moved.  To regenerate all of them:
@@ -35,8 +36,9 @@ RUNS = {
         ["figure", "fig8", "--samples", "20000", "--seed", "3", "--svg"],
         [f"fig8_{beta}.{ext}" for beta in ("beta0", "betapi4", "betapi2") for ext in ("csv", "svg")],
     ),
-    "fig1b_k8": (["run", "--config", str(GOLDEN / "fig1b_k8.cfg"), "--samples", "0"],
-                 ["fig1b_k8.csv"]),
+    # analytic only: the ideal curve and a dashed reference, no error bars or markers
+    "fig1b_k8": (["run", "--config", str(GOLDEN / "fig1b_k8.cfg"), "--samples", "0", "--svg"],
+                 ["fig1b_k8.csv", "fig1b_k8.svg"]),
     "long_horizon": (
         ["run", "--config", str(GOLDEN / "long_horizon.cfg"), "--samples", "4096", "--seed", "11"],
         ["long_horizon.csv"],
@@ -55,6 +57,19 @@ def test_csv_matches_golden(run, tmp_path):
     _run(argv, tmp_path)
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def _preset_pin() -> list:
+    """Every preset, in order: its description, original ensemble size and
+    each series' name and config echo."""
+    return [{"id": pid, "description": p.description, "full_samples": p.full_samples,
+             "series": [{"name": name, "config": cli.config_echo(cfg)} for name, cfg in p.series]}
+            for pid, p in PRESETS.items()]
+
+
+def test_presets_match_pin():
+    assert [p.id for p in PRESETS.values()] == list(PRESETS)
+    assert _preset_pin() == json.loads((GOLDEN / "presets.json").read_text())
 
 
 # commutator norms and one-step map error of every preset series, pinned
@@ -80,3 +95,4 @@ if __name__ == "__main__":
             _run(argv, Path(tmp))
             for name in names:
                 (GOLDEN / name).write_bytes((Path(tmp) / name).read_bytes())
+    (GOLDEN / "presets.json").write_text(json.dumps(_preset_pin(), indent=2) + "\n")
