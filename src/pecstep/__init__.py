@@ -37,7 +37,6 @@ from .scenarios import (
     build_scenario,
     ideal_evolution,
     mitigation_coeffs,
-    reference_value,
     simulate,
 )
 
@@ -72,6 +71,5 @@ __all__ = [
     "build_scenario",
     "ideal_evolution",
     "mitigation_coeffs",
-    "reference_value",
     "simulate",
 ]

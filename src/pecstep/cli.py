@@ -198,8 +198,9 @@ def _workers() -> int:
 def _run_series(args, stem: str, named_configs) -> int:
     """Simulate the series under the --samples and --seed overrides, write
     their files into --output and print their names.  Every series is
-    checked before the directory is made, so a NaN or inf in any of them
-    leaves no file and no directory behind."""
+    checked before the directory is made, so a NaN or inf in any of them,
+    or a chart range wider than the float range, leaves no file and no directory
+    behind."""
     names = [name for name, _ in named_configs]
     overrides = {k: getattr(args, k) for k in ("samples", "seed") if getattr(args, k) is not None}
     configs = [dataclasses.replace(cfg, **overrides) for _, cfg in named_configs]
@@ -213,6 +214,8 @@ def _run_series(args, stem: str, named_configs) -> int:
     bases = [stem if not name else f"{stem}_{name}" for name in names]
     for base, (series, _) in zip(bases, results):
         _defined_columns(out_dir / f"{base}.csv", series)
+        if args.svg:
+            svg.y_range(base, series)
     out_dir.mkdir(parents=True, exist_ok=True)
     for base, name, cfg, (series, _) in zip(bases, names, configs, results):
         csv_path = out_dir / f"{base}.csv"

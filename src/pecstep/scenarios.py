@@ -100,9 +100,6 @@ class ScenarioConfig:
         if self.reference is not None and self.reference not in ("auto",) + REFERENCE_KINDS:
             raise ValueError(f"reference: unknown kind {self.reference!r}")
 
-    def is_closed_target(self) -> bool:
-        return self.target.is_zero()
-
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
@@ -161,53 +158,6 @@ def _exact_step(cfg: ScenarioConfig) -> np.ndarray:
     return expm(generator * cfg.dt)
 
 
-def reference_value(
-    kind: str,
-    n: int,
-    *,
-    omega: float,
-    dt: float,
-    kappa: float | None = None,
-    lam: float | None = None,
-    mu_prime: float | None = None,
-) -> float:
-    """Closed-form excited-state population at step n (t = n*dt).
-
-    Kinds and their parameters:
-      closed                 -- none
-      damped-depolarizing    -- kappa: depolarizing rate of the target dynamics
-      approx-digital         -- lam: per-step depolarizing probability
-      approx-analog          -- kappa: depolarizing device rate
-      unmitigated-digital    -- kappa: rate such that the per-step channel is kappa*dt
-      biased                 -- kappa as above plus mu_prime, the deformed
-                                Pauli sampling probability
-
-    Raises ValueError when the value overflows the float range.
-    """
-    t = n * dt
-    osc = math.cos(2.0 * omega * t)
-    try:
-        if kind == "closed":
-            return 0.5 * (1.0 + osc)
-        if kind == "damped-depolarizing":
-            return 0.5 * (1.0 + math.exp(-4.0 * kappa * t) * osc)
-        if kind == "approx-digital":
-            return 0.5 * (1.0 + (1.0 - 16.0 * lam**2) ** n * osc)
-        if kind == "approx-analog":
-            amp = (math.exp(-4.0 * kappa * dt) / (1.0 - 4.0 * kappa * dt)) ** n
-            return 0.5 * (1.0 + amp * osc)
-        if kind == "unmitigated-digital":
-            return 0.5 * (1.0 + (1.0 - 4.0 * kappa * dt) ** n * osc)
-        if kind == "biased":
-            xi, kappa_prime = biased_predictions(kappa, dt, mu_prime)
-            return xi**n * 0.5 * (1.0 + math.exp(-4.0 * kappa_prime * t) * osc)
-    except OverflowError:
-        raise ValueError(
-            f"reference: {kind} overflows the float range at step {n}; use fewer steps"
-        ) from None
-    raise ValueError(f"unknown reference kind {kind!r}")
-
-
 def biased_predictions(kappa: float, dt: float, mu_prime: float) -> tuple[float, float]:
     """Trace factor xi and effective rate kappa' of biased Pauli sampling
     against a per-step depolarizing channel of strength kappa*dt."""
@@ -235,65 +185,72 @@ def _regime(cfg: ScenarioConfig, hardware: str, mitigation: str) -> bool:
     )
 
 
-# Each closed form: (the regime it was derived for, whether cfg is in it,
-# its parameters besides omega and dt).  "auto" takes the first kind whose
+def _biased(cfg: ScenarioConfig):
+    """The biased curve: xi^n times a population decaying at kappa', with
+    kappa = lx / dt and mu' = bias mu1."""
+    mu_prime = cfg.bias * channels.sampling_distribution(mitigation_coeffs(cfg), 1.0).mu1
+    xi, kappa_prime = biased_predictions(cfg.device.lx / cfg.dt, cfg.dt, mu_prime)
+    return lambda n, t, osc: xi**n * 0.5 * (1.0 + math.exp(-4.0 * kappa_prime * t) * osc)
+
+
+# Each closed form: the regime it was derived for, whether cfg is in it, and
+# its curve read from cfg: the excited-state population at step n, time
+# t = n dt, with osc = cos(2 omega t).  "auto" takes the first kind whose
 # regime holds; an explicit kind must be in its own regime.
 _REFERENCES = {
     "biased": (
         "digital hardware, exact mitigation, a bias, a closed target"
         " and uniform channel probabilities",
-        lambda cfg: _regime(cfg, "digital", "exact")
-        and cfg.bias is not None
-        and cfg.is_closed_target(),
-        lambda cfg: {
-            "kappa": cfg.device.lx / cfg.dt,
-            "mu_prime": cfg.bias
-            * channels.sampling_distribution(mitigation_coeffs(cfg), 1.0).mu1,
-        },
+        lambda cfg: _regime(cfg, "digital", "exact") and cfg.bias is not None and cfg.target.is_zero(),
+        _biased,
     ),
     "unmitigated-digital": (
         "digital hardware, no mitigation and uniform channel probabilities",
         lambda cfg: _regime(cfg, "digital", "none"),
-        lambda cfg: {"kappa": cfg.device.lx / cfg.dt},
+        lambda cfg: lambda n, t, osc: 0.5 * (
+            1.0 + (1.0 - 4.0 * (cfg.device.lx / cfg.dt) * cfg.dt) ** n * osc
+        ),
     ),
     "approx-digital": (
         "digital hardware, first-order mitigation, a closed target"
         " and uniform channel probabilities",
-        lambda cfg: _regime(cfg, "digital", "first-order") and cfg.is_closed_target(),
-        lambda cfg: {"lam": cfg.device.lx},
+        lambda cfg: _regime(cfg, "digital", "first-order") and cfg.target.is_zero(),
+        lambda cfg: lambda n, t, osc: 0.5 * (1.0 + (1.0 - 16.0 * cfg.device.lx**2) ** n * osc),
     ),
     "approx-analog": (
         "analog hardware, linear-inverse mitigation, a closed target and uniform device rates",
-        lambda cfg: _regime(cfg, "analog", "linear-inverse") and cfg.is_closed_target(),
-        lambda cfg: {"kappa": cfg.device.gx},
+        lambda cfg: _regime(cfg, "analog", "linear-inverse") and cfg.target.is_zero(),
+        lambda cfg: lambda n, t, osc: 0.5 * (1.0 + (
+            math.exp(-4.0 * cfg.device.gx * cfg.dt) / (1.0 - 4.0 * cfg.device.gx * cfg.dt)
+        ) ** n * osc),
     ),
     "closed": (
         "a closed target",
-        lambda cfg: cfg.is_closed_target(),
-        lambda cfg: {},
+        lambda cfg: cfg.target.is_zero(),
+        lambda cfg: lambda n, t, osc: 0.5 * (1.0 + osc),
     ),
     "damped-depolarizing": (
         "exact mitigation and uniform target rates",
         lambda cfg: cfg.mitigation == "exact" and _uniform(cfg.target.as_tuple()),
-        lambda cfg: {"kappa": cfg.target.gx},
+        lambda cfg: lambda n, t, osc: 0.5 * (1.0 + math.exp(-4.0 * cfg.target.gx * t) * osc),
     ),
 }
 REFERENCE_KINDS = tuple(_REFERENCES)
 
 
-def resolve_reference(cfg: ScenarioConfig):
+def resolve_reference(cfg: ScenarioConfig) -> str | None:
     """Pick the closed-form reference curve for a configuration.
 
-    Returns (kind, params) or None.  "auto" takes the first kind of
+    Returns its kind or None.  "auto" takes the first kind of
     REFERENCE_KINDS whose regime the configuration is in, or None; an
     explicit kind outside its regime raises ValueError.
     """
     if cfg.reference is None:
         return None
     for kind in REFERENCE_KINDS if cfg.reference == "auto" else (cfg.reference,):
-        needs, holds, params = _REFERENCES[kind]
+        needs, holds, _ = _REFERENCES[kind]
         if holds(cfg):
-            return kind, {"omega": cfg.omega, "dt": cfg.dt, **params(cfg)}
+            return kind
     if cfg.reference != "auto":
         raise ValueError(f"reference: {kind} needs {needs}")
     return None
@@ -334,9 +291,18 @@ def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) 
 
     n_rows = cfg.steps + 1
     reference = None
-    ref = resolve_reference(cfg)
-    if ref is not None:
-        reference = np.array([reference_value(ref[0], n, **ref[1]) for n in range(n_rows)])
+    kind = resolve_reference(cfg)
+    if kind is not None:
+        curve = _REFERENCES[kind][2](cfg)
+        reference = np.empty(n_rows)
+        for n in range(n_rows):
+            t = n * cfg.dt
+            try:
+                reference[n] = curve(n, t, math.cos(2.0 * cfg.omega * t))
+            except OverflowError:
+                raise ValueError(
+                    f"reference: {kind} overflows the float range at step {n}; use fewer steps"
+                ) from None
     return TimeSeries(
         step=np.arange(n_rows),
         t=np.arange(n_rows) * cfg.dt,

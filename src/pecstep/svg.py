@@ -28,25 +28,35 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return out
 
 
+def y_range(title: str, series) -> tuple[float, float]:
+    """The y-axis range of the chart of a `TimeSeries`: every curve and
+    error bar, padded by 5% of its span.  Raises ValueError when the padded
+    range is wider than the float range."""
+    ys = [y for y in (series.ideal, series.reference, series.mc_mean) if y is not None]
+    if series.mc_mean is not None:
+        ys += [series.mc_mean + series.mc_stderr, series.mc_mean - series.mc_stderr]
+    ys = np.concatenate(ys)
+    y0, y1 = float(ys.min()), float(ys.max())
+    pad = 0.05 * (y1 - y0 or 1.0)
+    y0, y1 = y0 - pad, y1 + pad
+    if not math.isfinite(y1 - y0):
+        raise ValueError(f"{title}: the chart's y-range {y0:g} to {y1:g} is wider than the float range")
+    return y0, y1
+
+
 def render(title: str, series) -> str:
     """The chart of a `TimeSeries` as SVG text: the ideal curve, the
     reference (dashed) and the Monte Carlo mean with error bars and markers
     where they are defined; every value must be finite."""
     # (label, y, color, dash attribute, error bars)
     curves = [("ideal", series.ideal, "#d95f02", "", None)]
-    ys = [series.ideal]
     if series.reference is not None:
         curves.append(("reference", series.reference, "#1b9e77", ' stroke-dasharray="6,4"', None))
-        ys.append(series.reference)
     if series.mc_mean is not None:
         curves.append(("mc mean", series.mc_mean, "#7570b3", "", series.mc_stderr))
-        ys += [series.mc_mean, series.mc_mean + series.mc_stderr, series.mc_mean - series.mc_stderr]
-    ys = np.concatenate(ys)
 
     x0, x1 = float(series.t.min()), float(series.t.max())
-    y0, y1 = float(ys.min()), float(ys.max())
-    pad = 0.05 * (y1 - y0 or 1.0)
-    y0, y1 = y0 - pad, y1 + pad
+    y0, y1 = y_range(title, series)
     if x1 == x0:
         x1 = x0 + 1.0
 
@@ -115,6 +125,7 @@ def render(title: str, series) -> str:
 
 
 def write(path, title: str, series) -> None:
+    text = render(title, series)  # before the file is opened: a chart that fails leaves none
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render(title, series))
+        fh.write(text)
         fh.write("\n")

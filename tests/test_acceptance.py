@@ -22,7 +22,6 @@ from pecstep.scenarios import (
     build_scenario,
     diagnostics,
     ideal_evolution,
-    reference_value,
     simulate,
 )
 
@@ -57,11 +56,9 @@ def test_criterion_1_digital_closed_exact():
 
 def test_criterion_2_digital_closed_first_order():
     with criterion(2, "digital closed, first-order mitigation"):
-        ts = ideal_evolution(replace(PRESETS["fig1b"].series[0][1], samples=0))
-        expected = np.array(
-            [reference_value("approx-digital", n, omega=1.0, dt=0.5, lam=0.05) for n in range(21)]
-        )
-        assert np.abs(ts.ideal - expected).max() <= 1e-12
+        cfg = replace(PRESETS["fig1b"].series[0][1], samples=0, reference="approx-digital")
+        ts = ideal_evolution(cfg)
+        assert np.abs(ts.ideal - ts.reference).max() <= 1e-12
         assert abs(ts.ideal[1] - 0.7593451068167071) <= 1e-12
 
 
@@ -70,11 +67,9 @@ def test_criterion_3_analog_closed_depolarizing():
         exact = ideal_evolution(replace(PRESETS["fig2a"].series[0][1], samples=0))
         assert np.abs(exact.ideal - closed_form(exact.t)).max() <= 1e-12
 
-        approx = ideal_evolution(replace(PRESETS["fig2b"].series[0][1], samples=0))
-        expected = np.array(
-            [reference_value("approx-analog", n, omega=1.0, dt=0.5, kappa=0.1) for n in range(21)]
-        )
-        assert np.abs(approx.ideal - expected).max() <= 1e-12
+        cfg = replace(PRESETS["fig2b"].series[0][1], samples=0, reference="approx-analog")
+        approx = ideal_evolution(cfg)
+        assert np.abs(approx.ideal - approx.reference).max() <= 1e-12
         assert approx.ideal.max() > 1.0  # non-physical amplitude is reproduced
 
 
@@ -133,13 +128,10 @@ def test_criterion_7_biased_sampling():
         assert abs(xi - 0.99) <= 5e-3
         assert abs(kp - (-0.0042)) <= 5e-5
 
-        cfg = replace(PRESETS["figB1a"].series[0][1], samples=0, steps=3)
+        cfg = replace(PRESETS["figB1a"].series[0][1], samples=0, steps=3, reference="biased")
         got = exhaustive_expectation(build_scenario(cfg))
-        expected = [
-            reference_value("biased", n, omega=1.0, dt=0.5, kappa=0.1, mu_prime=0.97 * mu1)
-            for n in range(4)
-        ]
-        assert np.abs(got.mean - np.array(expected)).max() <= 1e-12
+        expected = ideal_evolution(cfg).reference  # kappa = 0.1, mu' = 0.97 mu1
+        assert np.abs(got.mean - expected).max() <= 1e-12
 
 
 _ORACLE_CONFIGS = [
@@ -182,14 +174,8 @@ def test_criterion_9_coefficient_identity_grid():
 
 def test_criterion_10_unmitigated_digital():
     with criterion(10, "unmitigated digital decay and its effective rate"):
-        ts = ideal_evolution(PRESETS["figA1"].series[0][1])
-        expected = np.array(
-            [
-                reference_value("unmitigated-digital", n, omega=1.0, dt=0.5, kappa=0.1)
-                for n in range(21)
-            ]
-        )
-        assert np.abs(ts.ideal - expected).max() <= 1e-12
+        ts = ideal_evolution(replace(PRESETS["figA1"].series[0][1], reference="unmitigated-digital"))
+        assert np.abs(ts.ideal - ts.reference).max() <= 1e-12
 
         # fit the decay rate from the oscillation envelope
         osc = np.cos(2 * ts.t)

@@ -426,6 +426,41 @@ def test_a_nan_in_a_later_series_leaves_no_file_and_no_directory(tmp_path, capsy
     assert err.count("error: ideal: NaN at step 1 ") == 2 and "fig5_betapi2.csv" in err
 
 
+def _spanning_the_float_range(series):
+    """The series with its ideal column at -1e308 and 1e308: every value
+    finite, their padded span not."""
+    ideal = series.ideal.copy()
+    ideal[1], ideal[2] = -1e308, 1e308
+    return replace(series, ideal=ideal)
+
+
+def test_svg_refuses_a_chart_range_wider_than_the_float_range(tmp_path):
+    [(series, _)] = cli.simulate([ScenarioConfig("digital", PauliChannelParams())])
+    wide = _spanning_the_float_range(series)
+    cli.write_csv(tmp_path / "wide.csv", wide)  # the CSV itself is finite
+    with pytest.raises(ValueError, match="^wide: the chart's y-range .* is wider than the float range"):
+        cli.svg.render("wide", wide)
+    with pytest.raises(ValueError):
+        cli.svg.write(tmp_path / "wide.svg", "wide", wide)
+    assert not (tmp_path / "wide.svg").exists()
+
+
+def test_run_svg_on_a_chart_range_wider_than_the_float_range_leaves_no_directory(
+    tmp_path, capsys, monkeypatch
+):
+    simulate = cli.simulate
+    monkeypatch.setattr(cli, "simulate", lambda configs, workers=None: [
+        (_spanning_the_float_range(series), stats) for series, stats in simulate(configs, workers)])
+    config = tmp_path / "wide.cfg"
+    config.write_text("hardware = digital\nnoise_lx = 0.05\n")
+    args = ["run", "--config", str(config), "--output", str(tmp_path / "out")]
+    assert main(args + ["--svg"]) == 2
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err.startswith("error: wide: the chart's y-range ")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0  # without --svg the same series writes its CSV
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
 def test_csv_writer_refuses_infinity(tmp_path, value):
     [(series, _)] = cli.simulate([ScenarioConfig("digital", PauliChannelParams())])

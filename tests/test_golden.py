@@ -43,6 +43,10 @@ RUNS = {
         ["run", "--config", str(GOLDEN / "long_horizon.cfg"), "--samples", "4096", "--seed", "11"],
         ["long_horizon.csv"],
     ),
+    # the two reference kinds no run above covers: unmitigated-digital and
+    # damped-depolarizing
+    "figA1": (["figure", "figA1"], ["figA1.csv"]),
+    "damped": (["run", "--config", str(GOLDEN / "damped.cfg"), "--samples", "0"], ["damped.csv"]),
 }
 
 

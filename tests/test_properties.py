@@ -251,7 +251,7 @@ def cli_configs(draw):
     scenario = cli.config_from_values(cli.parse_config_text(checks.config_text(cfg)))
     picked = resolve_reference(scenario)
     if picked is not None:
-        cfg["reference"] = draw(st.sampled_from(("auto", picked[0])))
+        cfg["reference"] = draw(st.sampled_from(("auto", picked)))
     return cfg
 
 

@@ -28,7 +28,6 @@ from pecstep.scenarios import (
     ScenarioConfig,
     build_scenario,
     ideal_evolution,
-    reference_value,
 )
 
 
@@ -243,14 +242,9 @@ def test_exhaustive_weight_sum_is_trace_factor_when_biased():
 
 
 def test_biased_exhaustive_matches_closed_form():
-    cfg = _fig1a(steps=3, bias=0.97)
+    cfg = _fig1a(steps=3, bias=0.97, reference="biased")  # kappa = 0.1, mu' = 0.97 mu1
     got = exhaustive_expectation(_plan(cfg))
-    mu1 = 0.05 / 1.1
-    ref = [
-        reference_value("biased", n, omega=1.0, dt=0.5, kappa=0.1, mu_prime=0.97 * mu1)
-        for n in range(4)
-    ]
-    assert np.allclose(got.mean, ref, atol=1e-12)
+    assert np.allclose(got.mean, ideal_evolution(cfg).reference, atol=1e-12)
 
 
 def test_exhaustive_refuses_deep_plans():
@@ -278,13 +272,11 @@ def test_ensemble_tracks_ideal_statistically():
 
 def test_approximate_analog_ensemble_tracks_its_own_limit():
     # the sampled mean follows the deformed closed form, not the target dynamics
-    cfg = replace(PRESETS["fig2b"].series[0][1], samples=0)
+    cfg = replace(PRESETS["fig2b"].series[0][1], samples=0, reference="approx-analog")
     plan = _plan(cfg)
     stats = run_ensemble(plan, 100_000, seed=3)
     t = np.arange(21) * 0.5
-    deformed = np.array(
-        [reference_value("approx-analog", n, omega=1.0, dt=0.5, kappa=0.1) for n in range(21)]
-    )
+    deformed = ideal_evolution(cfg, plan).reference
     closed = 0.5 * (1 + np.cos(2 * t))
     z_deformed = np.abs(stats.mean[1:] - deformed[1:]) / stats.stderr[1:]
     z_closed = np.abs(stats.mean[1:] - closed[1:]) / stats.stderr[1:]

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import fidelity, max_abs_diff, sequential_orbit
 from pecstep.channels import PauliChannelParams, channel_superop
@@ -17,7 +18,6 @@ from pecstep.scenarios import (
     diagnostics,
     ideal_evolution,
     mitigation_coeffs,
-    reference_value,
     resolve_reference,
     simulate,
 )
@@ -113,11 +113,8 @@ def test_digital_closed_exact_recovers_target():
 
 
 def test_digital_closed_first_order_matches_deformed_form():
-    ts = ideal_evolution(replace(PRESETS["fig1b"].series[0][1], samples=0))
-    expected = np.array(
-        [reference_value("approx-digital", n, omega=1.0, dt=0.5, lam=0.05) for n in range(21)]
-    )
-    assert np.abs(ts.ideal - expected).max() < 1e-12
+    ts = ideal_evolution(replace(PRESETS["fig1b"].series[0][1], samples=0, reference="approx-digital"))
+    assert np.abs(ts.ideal - ts.reference).max() < 1e-12
     assert ts.ideal[1] == pytest.approx(0.7593451068167071, abs=1e-12)
 
 
@@ -127,13 +124,10 @@ def test_analog_closed_exact_depolarizing_recovers_target():
 
 
 def test_analog_linear_inverse_matches_deformed_form():
-    cfg = replace(PRESETS["fig2b"].series[0][1], samples=0)
+    cfg = replace(PRESETS["fig2b"].series[0][1], samples=0, reference="approx-analog")
     plan = build_scenario(cfg)
     ts = ideal_evolution(cfg, plan)
-    expected = np.array(
-        [reference_value("approx-analog", n, omega=1.0, dt=0.5, kappa=0.1) for n in range(21)]
-    )
-    assert np.abs(ts.ideal - expected).max() < 1e-12
+    assert np.abs(ts.ideal - ts.reference).max() < 1e-12
     assert ts.ideal[1] == pytest.approx(0.776476321108245, abs=1e-12)
     # amplitude blows past 1: the non-physical average is kept, not clipped,
     # and the mitigated state leaves the physical set (det rho < 0)
@@ -178,40 +172,79 @@ def test_ideal_evolution_matches_sequential_loop_over_dt_sweep(key, cfg):
         assert np.abs(ideal - 0.5 * (r[:, 0] + r[:, 3])).max() <= 1e-13, k
 
 
+def _infinite_sample_bias(cfg: ScenarioConfig, k: int) -> float:
+    """max over steps of |ideal - target population| at dt = 0.5/k and 20k
+    steps (t = 10), the target from one exponential exp((L_u + L_target) t)
+    of RHO0 per step."""
+    cfg = replace(cfg, dt=0.5 / k, steps=20 * k, samples=0)
+    generator = unitary_generator(cfg.omega, cfg.beta) + pauli_dissipator(cfg.target)
+    target = np.array([scipy.linalg.expm(generator * (n * cfg.dt)) @ RHO0 for n in range(cfg.steps + 1)])
+    return np.abs(ideal_evolution(cfg).ideal - 0.5 * (target[:, 0] + target[:, 3])).max()
+
+
+_DT_CUTS = (1, 4, 16, 64)
+
+
+@pytest.mark.parametrize(
+    "pid, name", [("fig1a", ""), ("fig2a", ""), ("fig3", "betapi2"), ("fig5", "betapi2")]
+)
+def test_exact_mitigation_has_no_bias_where_the_generators_commute(pid, name):
+    cfg = dict(PRESETS[pid].series)[name]
+    for k in _DT_CUTS:
+        assert _infinite_sample_bias(cfg, k) <= 1e-12, k
+
+
+@pytest.mark.parametrize(
+    "pid, name", [("fig3", "beta0"), ("fig3", "betapi4"), ("fig5", "beta0"), ("fig5", "betapi4")]
+)
+def test_exact_mitigation_bias_is_set_by_dt_not_by_samples(pid, name):
+    # the paper's claim: with noise that does not commute with the drive, the
+    # infinite-sample limit itself misses the target, by O(dt^2) at fixed t
+    bias = [_infinite_sample_bias(dict(PRESETS[pid].series)[name], k) for k in _DT_CUTS]
+    assert bias[0] > 1e-3
+    for coarse, fine in zip(bias, bias[1:]):
+        assert coarse >= 10.0 * fine, bias
+
+
 # --- reference formulas ---
 
 
+def _reference(pid: str, kind: str, **overrides) -> np.ndarray:
+    """The `kind` reference curve of preset `pid`'s first series."""
+    cfg = replace(PRESETS[pid].series[0][1], samples=0, reference=kind, **overrides)
+    return ideal_evolution(cfg).reference
+
+
 def test_reference_closed_value():
-    assert reference_value("closed", 1, omega=1.0, dt=0.5) == pytest.approx(
-        0.7701511529340699, abs=1e-15
-    )
+    assert _reference("fig1a", "closed")[1] == pytest.approx(0.7701511529340699, abs=1e-15)
 
 
 def test_reference_damped_depolarizing():
-    got = reference_value("damped-depolarizing", 1, omega=1.0, dt=0.5, kappa=0.1)
+    got = _reference("fig1a", "damped-depolarizing", target=PauliRates(0.1, 0.1, 0.1))[1]
     assert got == pytest.approx(0.7211810568865961, abs=1e-15)
 
 
 def test_reference_unmitigated():
-    got = reference_value("unmitigated-digital", 1, omega=1.0, dt=0.5, kappa=0.1)
+    got = _reference("figA1", "unmitigated-digital")[1]  # kappa = lx / dt = 0.1
     assert got == pytest.approx(0.5 * (1 + 0.8 * np.cos(1.0)), abs=1e-15)
     assert got == pytest.approx(0.7161209223472559, abs=1e-12)
 
 
 def test_reference_unknown_kind():
-    with pytest.raises(ValueError):
-        reference_value("nope", 0, omega=1.0, dt=0.5)
+    with pytest.raises(ValueError, match="^reference: unknown kind 'nope'"):
+        replace(PRESETS["fig1a"].series[0][1], reference="nope")
 
 
 @pytest.mark.parametrize(
-    "kind, params",
-    [("approx-analog", {"kappa": 0.1}), ("biased", {"kappa": 0.1, "mu_prime": 0.0})],
+    "kind, params", [("approx-analog", {"steps": 30669}), ("biased", {"steps": 2231, "bias": 1e-3})]
 )
 def test_reference_overflow_is_a_value_error(kind, params):
-    # amplitudes e^{-0.2} / 0.8 and xi = 1.1 / 0.8 per step
-    reference_value(kind, 1000, omega=1.0, dt=0.5, **params)
-    with pytest.raises(ValueError, match=f"^reference: {kind} overflows .* at step 40000;"):
-        reference_value(kind, 40000, omega=1.0, dt=0.5, **params)
+    # fig2b's amplitude e^{-0.2} / 0.8 and figB1a's xi ~ 1.1 / 0.8 per step
+    # (kappa = 0.1, mu' ~ 0) first leave the float range at step params["steps"]
+    pid = {"approx-analog": "fig2b", "biased": "figB1a"}[kind]
+    _reference(pid, kind, **dict(params, steps=params["steps"] - 1))
+    with pytest.raises(ValueError, match=f"^reference: {kind} overflows .* at step {params['steps']};"):
+        _reference(pid, kind, **params)
 
 
 def test_biased_predictions_unbiased_is_identity():
@@ -360,15 +393,10 @@ def test_open_digital_fidelity_by_beta():
 
 def test_unmitigated_matches_stepwise_decay_form():
     ts = ideal_evolution(PRESETS["figA1"].series[0][1])
-    expected = np.array(
-        [reference_value("unmitigated-digital", n, omega=1.0, dt=0.5, kappa=0.1) for n in range(21)]
-    )
-    assert np.abs(ts.ideal - expected).max() < 1e-12
+    assert np.abs(ts.ideal - _reference("figA1", "unmitigated-digital")).max() < 1e-12
     # identical to a continuous depolarizing solution at the deformed rate
     rate = -math.log(1 - 4 * 0.1 * 0.5) / (4 * 0.5)
-    lindblad = np.array(
-        [reference_value("damped-depolarizing", n, omega=1.0, dt=0.5, kappa=rate) for n in range(21)]
-    )
+    lindblad = _reference("fig1a", "damped-depolarizing", target=PauliRates(rate, rate, rate))
     assert np.abs(ts.ideal - lindblad).max() < 1e-12
 
 
@@ -395,11 +423,7 @@ def test_unmitigated_matches_stepwise_decay_form():
 )
 def test_reference_auto_selection(pid, expected):
     cfg = PRESETS[pid].series[0][1]
-    got = resolve_reference(cfg)
-    if expected is None:
-        assert got is None
-    else:
-        assert got[0] == expected
+    assert resolve_reference(cfg) == expected
 
 
 def test_reference_override_none():
