@@ -26,7 +26,6 @@ from .sampling import (
     EnsembleStats,
     StepPlan,
     TrajectoryResult,
-    WorkerPool,
     run_ensemble,
     run_trajectory,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "EnsembleStats",
     "StepPlan",
     "TrajectoryResult",
-    "WorkerPool",
     "run_ensemble",
     "run_trajectory",
     "ScenarioConfig",

@@ -6,8 +6,10 @@
 
 Worker count for the Monte Carlo ensemble comes from the environment
 variable PECSTEP_WORKERS (default: the CPUs this process may run on), read
-here and nowhere else in the package; it never changes the results.  An
-invocation starts at most one worker pool, shared by all its series.
+here and nowhere else in the package; it never changes the results.  The
+series of every preset share their branch codes and run as one stacked
+ensemble, so an invocation starts at most one worker pool, of at most one
+process per block of trajectories (see sampling.run_ensemble).
 
 Config files are flat `key = value` lines, '#' starts a comment.  Keys:
 
@@ -41,7 +43,6 @@ from . import __version__, svg
 from .channels import PauliChannelParams
 from .generators import PauliRates
 from .presets import PRESETS, preset
-from .sampling import WorkerPool
 from .scenarios import HARDWARE, ScenarioConfig, TimeSeries, diagnostics, simulate
 
 CSV_HEADER = "step,t,ideal,reference,mc_mean,mc_stderr,fidelity"
@@ -209,8 +210,7 @@ def _run_series(args, stem: str, named_configs) -> int:
     t0 = time.perf_counter()
     outputs = []
     echoes = []
-    with WorkerPool(workers) as pool:  # one pool for every series of the run
-        results = simulate(configs, workers=pool)
+    results = simulate(configs, workers=workers)
     bases = [stem if not name else f"{stem}_{name}" for name in names]
     for base, (series, _) in zip(bases, results):
         _defined_columns(out_dir / f"{base}.csv", series)

@@ -44,8 +44,8 @@ under the map's nonzero pattern (_support): the others stay zero, so
 dropping them changes no sum.  A step applies only the nonzero
 coefficients of the map restricted to them (_rotate), and a branch factor
 -1 on a component becomes one xor of its sign bytes.  run_ensemble
-runs the chunks in this process, or on a WorkerPool shared by many calls,
-so that one command starts at most one process pool.
+runs the chunks in this process, or on one process pool of at most one
+worker per chunk that it starts and stops itself.
 
 Every plan starts from RHO0 = |1><1|, the initial state of every
 experiment here.
@@ -328,6 +328,7 @@ def _merge(parts):
     return rows, s1, m2
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reaches the callers' NaN checks
 def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int) -> list:
     """Partials (rows, s1, m2) of one chunk, in sign-folded units (see
     _block_stats), one per deterministic map of the plan.
@@ -364,53 +365,24 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int) -> list:
     return stats(rows)
 
 
-class WorkerPool:
-    """Worker processes for run_ensemble, shared by every call it is given to.
-
-    The ProcessPoolExecutor starts at the first map of more than one job on
-    more than one worker, so a run that never needs it starts none; leaving
-    the with-block shuts it down.
-    """
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._executor = None
-
-    def map(self, fn, jobs: list) -> list:
-        """[fn(*job) for job in jobs], in order."""
-        if self.workers < 2 or len(jobs) < 2:
-            return [fn(*job) for job in jobs]
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        return list(self._executor.map(fn, *zip(*jobs)))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-
-def run_ensemble(
-    plan: StepPlan, samples: int, seed: int, workers: WorkerPool | None = None
-) -> EnsembleStats:
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reaches the callers' NaN checks
+def run_ensemble(plan: StepPlan, samples: int, seed: int, workers: int = 1) -> EnsembleStats:
     """Ensemble statistics over `samples` independent trajectories.
 
-    `workers` is a WorkerPool to run the chunks on; without one they run in
-    this process.  Deterministic given (seed, samples): chunk partials are
-    merged in chunk order regardless of how many workers computed them.  A
-    stacked plan's statistics carry its leading axis, every series drawn
-    from the same codes.  Raises ValueError when the weight magnitude
-    gamma^steps overflows.
+    The chunks run in this process unless `workers` > 1 and there is more
+    than one chunk; then one ProcessPoolExecutor of min(workers, chunks)
+    processes runs them and is shut down before the call returns.
+    Deterministic given (seed, samples): chunk partials are merged in chunk
+    order regardless of how many workers computed them.  A stacked plan's
+    statistics carry its leading axis, every series drawn from the same
+    codes.  Raises ValueError when the weight magnitude gamma^steps
+    overflows.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     steps = plan.steps
     gamma = plan.distribution.prefactor
-    with np.errstate(over="ignore"):
-        gamma_n = gamma ** np.arange(steps + 1.0)
+    gamma_n = gamma ** np.arange(steps + 1.0)
     if not np.isfinite(gamma_n[-1]):
         raise ValueError(
             f"steps: the weight magnitude gamma^steps = {gamma:.12g}^{steps} "
@@ -421,7 +393,11 @@ def run_ensemble(
     jobs = [
         (plan, seed, c, min(CHUNK, samples - c * CHUNK)) for c in range(n_chunks)
     ]
-    partials = (WorkerPool(1) if workers is None else workers).map(_chunk_stats, jobs)
+    if workers > 1 and n_chunks > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
+            partials = list(pool.map(_chunk_stats, *zip(*jobs)))
+    else:
+        partials = [_chunk_stats(*job) for job in jobs]
 
     lead = np.shape(plan.deterministic)[:-2]  # () for a single map
     merged = [_merge(parts) for parts in zip(*partials)]

@@ -15,9 +15,9 @@ map.  The mitigation coefficients are chosen per configuration:
 Every experiment starts from sampling.RHO0 = |1><1|.  The ideal evolution
 steps it through linalg.orbit, the blocked step loop the trajectory
 replay also uses.  A TimeSeries column the configuration does not define
-is None; the CSV and SVG writers go by that alone.  simulate runs the
-ensembles in this process unless it is given a sampling.WorkerPool, one
-stacked plan per group of configs that share their branch codes.
+is None; the CSV and SVG writers go by that alone.  simulate runs one
+ensemble per group of configs that share their branch codes, as a stacked
+plan, on up to `workers` processes (see sampling.run_ensemble).
 """
 
 import math
@@ -129,14 +129,31 @@ def mitigation_coeffs(cfg: ScenarioConfig) -> MitigationCoeffs:
     return channels.first_order_coeffs(cfg.target, eps, cfg.dt)
 
 
+def _scaled_generator(cfg: ScenarioConfig, rates: PauliRates | None = None, keys: str = "") -> np.ndarray:
+    """(L_h + L_d) dt, with L_d the dissipator of `rates` (none if None),
+    named `keys` in messages.  The two parts touch disjoint entries, so
+    scaling each by dt gives the scaled sum exactly.  Raises ValueError
+    naming the config keys whose product with dt overflows the float
+    range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = [("omega", unitary_generator(cfg.omega, cfg.beta) * cfg.dt)]
+        if rates is not None:
+            parts.append((keys, pauli_dissipator(rates) * cfg.dt))
+    for name, part in parts:
+        if not np.isfinite(part).all():
+            raise ValueError(f"{name} * dt: the generator times dt overflows the float range")
+    return parts[0][1] if rates is None else parts[0][1] + parts[1][1]
+
+
 def build_scenario(cfg: ScenarioConfig) -> sampling.StepPlan:
-    unitary = unitary_generator(cfg.omega, cfg.beta)
     if cfg.hardware == "digital":
-        # unitary layer, then the noise channel
-        deterministic = channels.channel_superop(cfg.device) @ expm(unitary * cfg.dt)
+        # unitary layer, then the noise channel; an inf from expm becomes NaN,
+        # which ideal_evolution's series carries to cli.write_csv's check
+        with np.errstate(invalid="ignore"):
+            deterministic = channels.channel_superop(cfg.device) @ expm(_scaled_generator(cfg))
     else:
         # one exponential: the noise acts during the Hamiltonian evolution
-        deterministic = expm((unitary + pauli_dissipator(cfg.device)) * cfg.dt)
+        deterministic = expm(_scaled_generator(cfg, cfg.device, "noise_k*"))
 
     q = mitigation_coeffs(cfg)
     dist = channels.sampling_distribution(q, bias=1.0 if cfg.bias is None else cfg.bias)
@@ -154,8 +171,7 @@ def build_scenario(cfg: ScenarioConfig) -> sampling.StepPlan:
 
 def _exact_step(cfg: ScenarioConfig) -> np.ndarray:
     """One step exp((L_h + L_d) dt) of the target dynamics."""
-    generator = unitary_generator(cfg.omega, cfg.beta) + pauli_dissipator(cfg.target)
-    return expm(generator * cfg.dt)
+    return expm(_scaled_generator(cfg, cfg.target, "target_g*"))
 
 
 def biased_predictions(kappa: float, dt: float, mu_prime: float) -> tuple[float, float]:
@@ -315,10 +331,11 @@ def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) 
 
 
 def simulate(
-    configs: list[ScenarioConfig], workers: sampling.WorkerPool | None = None
+    configs: list[ScenarioConfig], workers: int = 1
 ) -> list[tuple[TimeSeries, sampling.EnsembleStats | None]]:
     """Ideal evolution of each config plus, when its samples > 0, the Monte
-    Carlo ensemble on `workers` (see sampling.run_ensemble), in config order.
+    Carlo ensemble on up to `workers` processes (see sampling.run_ensemble),
+    in config order.
 
     Configs with equal (samples, seed, steps, sampling distribution), such
     as the series of a beta family, run as one stacked plan: they share

@@ -19,13 +19,8 @@ def _ticks(lo: float, hi: float, n: int = 5):
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (1, 2, 5, 10) if s * mag >= raw) * mag
-    first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-9 * step:
-        out.append(round(t, 12))
-        t += step
-    return out
+    # by integer index: a running sum stalls when step is below the float spacing
+    return [round(k * step, 12) for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)]
 
 
 def y_range(title: str, series) -> tuple[float, float]:

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,3 +210,26 @@ def fidelity(r1, r2) -> float:
     d1 = max(np.linalg.det(r1).real, 0.0)
     d2 = max(np.linalg.det(r2).real, 0.0)
     return float(overlap + 2.0 * math.sqrt(d1 * d2))
+
+
+class Hang(BaseException):
+    """Raised by time_limit.  Not an Exception, so no handler in the code
+    under test (the CLI turns an OSError such as TimeoutError into exit 2)
+    can take it for an error of its own."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise Hang inside the block once `seconds` have passed (SIGALRM, so
+    the main thread only): a hang fails instead of stalling."""
+
+    def expire(signum, frame):
+        raise Hang(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

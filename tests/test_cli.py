@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import time_limit
 from pecstep import cli
 from pecstep.channels import PauliChannelParams
 from pecstep.cli import (
@@ -299,6 +300,25 @@ def test_one_shared_pool_per_invocation_keeps_every_csv(tmp_path, monkeypatch):
         assert serial == (tmp_path / "parallel" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("pid", sorted(PRESETS))
+def test_every_preset_starts_one_pool_at_two_workers(tmp_path, monkeypatch, pid):
+    # 140000 samples are three chunks: each preset's series run as one
+    # stacked ensemble, so the invocation starts one pool of two processes
+    import pecstep.sampling as sampling
+
+    starts = []
+    executor = sampling.ProcessPoolExecutor
+
+    def counting_executor(*args, **kwargs):
+        starts.append(kwargs)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "ProcessPoolExecutor", counting_executor)
+    monkeypatch.setenv("PECSTEP_WORKERS", "2")
+    assert main(["figure", pid, "--samples", "140000", "--output", str(tmp_path)]) == 0
+    assert starts == [{"max_workers": 2}]
+
+
 def test_figure_writes_what_a_run_of_each_series_config_writes(tmp_path, monkeypatch):
     # the figure's three series share one draw per chunk; each CSV must equal
     # a run of that series alone, from the config its manifest echoes
@@ -406,7 +426,7 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys, cfg_text, sampl
 def test_a_nan_in_a_later_series_leaves_no_file_and_no_directory(tmp_path, capsys, monkeypatch):
     simulate = cli.simulate
 
-    def simulate_with_nan_in_third_series(configs, workers=None):
+    def simulate_with_nan_in_third_series(configs, workers=1):
         results = simulate(configs, workers=workers)
         series, stats = results[2]
         ideal = series.ideal.copy()
@@ -449,7 +469,7 @@ def test_run_svg_on_a_chart_range_wider_than_the_float_range_leaves_no_directory
     tmp_path, capsys, monkeypatch
 ):
     simulate = cli.simulate
-    monkeypatch.setattr(cli, "simulate", lambda configs, workers=None: [
+    monkeypatch.setattr(cli, "simulate", lambda configs, workers=1: [
         (_spanning_the_float_range(series), stats) for series, stats in simulate(configs, workers)])
     config = tmp_path / "wide.cfg"
     config.write_text("hardware = digital\nnoise_lx = 0.05\n")
@@ -459,6 +479,22 @@ def test_run_svg_on_a_chart_range_wider_than_the_float_range_leaves_no_directory
     assert capsys.readouterr().err.startswith("error: wide: the chart's y-range ")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(args) == 0  # without --svg the same series writes its CSV
+
+
+# series whose chart's y-span is nonzero but below the float spacing at 1:
+# the tick step adds nothing to a tick near 1
+_FLAT_SERIES = {
+    "digital": "hardware = digital\nnoise_ly = 0.0467\nomega = 0\nsteps = 2\ndt = 0.43\n",
+    "analog": "hardware = analog\nnoise_kx = 0.9\ndt = 1e-16\nsteps = 1\n",
+}
+
+
+@pytest.mark.parametrize("hardware", sorted(_FLAT_SERIES))
+def test_run_svg_on_a_y_span_below_the_float_spacing_ends(tmp_path, hardware):
+    config = _write(tmp_path, "flat.cfg", _FLAT_SERIES[hardware])
+    with time_limit(10), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(config), "--svg", "--output", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "flat.svg").read_text().startswith("<svg")
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
@@ -546,7 +582,7 @@ def test_runs_without_scipy(tmp_path):
 
 
 def test_allocation_failure_exits_with_message(tmp_path, capsys, monkeypatch):
-    def simulate_out_of_memory(configs, workers=None):
+    def simulate_out_of_memory(configs, workers=1):
         raise MemoryError("Unable to allocate 2.91 TiB for an array")
 
     monkeypatch.setattr(cli, "simulate", simulate_out_of_memory)
@@ -584,7 +620,7 @@ def test_csv_writer_refuses_nan_in_defined_column(
 ):
     simulate = cli.simulate
 
-    def simulate_with_nan(configs, workers=None):
+    def simulate_with_nan(configs, workers=1):
         [(series, stats)] = simulate(configs, workers=workers)
         values = getattr(series, column)
         if values is None:  # the config does not define the column

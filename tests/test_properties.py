@@ -1,15 +1,18 @@
 """Property tests over random small configurations: the Pauli-coordinate
 ideal evolution against the exhaustive oracle, a complex column-stacked
 reference and the Monte Carlo ensemble; the library's expm against a
-40-digit mpmath expm; and the printed columns of `pecstep run` against the
-benchmark's independent Bloch model (bench/checks.py)."""
+40-digit mpmath expm; the printed columns of `pecstep run` against the
+benchmark's independent Bloch model (bench/checks.py); and the exit-code
+contract of `pecstep run` on configs with extreme magnitudes."""
 
 import contextlib
 import importlib.util
 import io
 import math
+import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -29,6 +32,7 @@ from conftest import (
     fidelity,
     lindbladian,
     pauli_channel,
+    time_limit,
     unvec,
     vec,
 )
@@ -364,3 +368,67 @@ def test_cli_invalid_config_exits_2_without_csv(case):
     with tempfile.TemporaryDirectory() as tmp:
         assert _run_cli(checks.config_text(cfg), Path(tmp)) == 2, why
         assert not (Path(tmp) / "out" / "series.csv").exists(), why
+
+
+# --- the exit-code contract: extreme magnitudes through `pecstep run` ---
+
+
+def _magnitude():
+    """Log-uniform over 1e-300 .. 1e300."""
+    return st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def extreme_cli_runs(draw):
+    """A config whose floats are log-uniform magnitudes, zero or negative
+    (digital channel probabilities tiny or ordinary), with --samples and
+    whether --svg is asked for."""
+    hardware = draw(st.sampled_from(("digital", "analog")))
+    mitigation = draw(st.sampled_from(MITIGATIONS[hardware]))
+    cfg = {"hardware": hardware, "mitigation": mitigation}
+    signed = st.one_of(_magnitude(), _magnitude().map(lambda v: -v), st.just(0.0))
+    for key, values in (("omega", signed), ("beta", signed), ("dt", _magnitude())):
+        if draw(st.booleans()):
+            cfg[key] = draw(values)
+    if hardware == "digital":
+        noise = st.one_of(st.floats(-300.0, -2.0).map(lambda e: 10.0**e), st.floats(0.0, 0.3))
+    else:
+        noise = _magnitude()
+    for axis in "xyz":
+        for prefix, values in (("noise_l" if hardware == "digital" else "noise_k", noise),
+                               ("target_g", _magnitude())):
+            if draw(st.booleans()):
+                cfg[prefix + axis] = draw(values)
+    if mitigation != "none" and draw(st.booleans()):
+        cfg["bias"] = draw(_magnitude())
+    cfg["steps"] = draw(st.integers(1, 50))
+    return cfg, draw(st.integers(0, 300)), draw(st.booleans())
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(extreme_cli_runs())
+@example(({"hardware": "digital", "noise_ly": 0.0467, "omega": 0.0, "steps": 2, "dt": 0.43},
+          0, True))  # a y-span below the float spacing at 1: the tick loop never ended
+@example(({"hardware": "analog", "noise_kx": 0.9, "dt": 1e-16, "steps": 1}, 0, True))
+@example(({"hardware": "digital", "noise_lx": 0.05, "omega": 1e200, "dt": 1e200}, 0, False))
+def test_cli_exit_code_contract_under_extreme_input(run):
+    # exit 0 with finite fields and a manifest, or exit 2 with one error
+    # line and nothing written; never a warning, a traceback or a hang
+    cfg, samples, svg = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "series.cfg", Path(tmp) / "out"
+        path.write_text(checks.config_text(cfg))
+        argv = ["run", "--config", str(path), "--samples", str(samples), "--output", str(out)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(), time_limit(10),
+              contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
+            warnings.simplefilter("error")
+            rc = cli.main(argv + ["--svg"] * svg)
+        if rc == 0:
+            rows = (out / "series.csv").read_text().splitlines()[1:]
+            assert all(math.isfinite(float(f)) for row in rows for f in row.split(",") if f)
+            assert (out / "series.manifest.json").exists()
+        else:
+            assert rc == 2
+            assert re.fullmatch("error: [^\n]*\n", stderr.getvalue())
+            assert stdout.getvalue() == "" and not out.exists()

@@ -288,8 +288,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
     monkeypatch.setattr(sampling, "CHUNK", 127)
     plan = _plan(_fig1a(steps=5))
     serial = run_ensemble(plan, 1000, seed=7)
-    with sampling.WorkerPool(3) as pool:
-        parallel = run_ensemble(plan, 1000, seed=7, workers=pool)
+    parallel = run_ensemble(plan, 1000, seed=7, workers=3)
     assert np.array_equal(serial.mean, parallel.mean)
     assert np.array_equal(serial.std, parallel.std)
 
@@ -528,8 +527,8 @@ def test_split_chunk_sums_equal_the_unsplit_sums_bit_for_bit(monkeypatch, rows):
 
 
 def test_run_ensemble_without_a_pool_starts_no_process(monkeypatch):
-    # PECSTEP_WORKERS is the CLI's to read: without a WorkerPool the library
-    # runs every chunk in this process
+    # PECSTEP_WORKERS is the CLI's to read: without a worker count the
+    # library runs every chunk in this process
     starts = []
     executor = sampling.ProcessPoolExecutor
 
@@ -555,15 +554,12 @@ def test_worker_pool_starts_only_when_needed(monkeypatch):
     monkeypatch.setattr(sampling, "ProcessPoolExecutor", counting_executor)
     monkeypatch.setattr(sampling, "CHUNK", 100)
     plan = _plan(_fig1a(steps=3))
-    with sampling.WorkerPool(1) as pool:
-        run_ensemble(plan, 300, seed=1, workers=pool)
-    with sampling.WorkerPool(2) as pool:
-        run_ensemble(plan, 100, seed=1, workers=pool)  # one chunk
+    run_ensemble(plan, 300, seed=1, workers=1)
+    run_ensemble(plan, 100, seed=1, workers=2)  # one chunk
     assert starts == []
-    with sampling.WorkerPool(2) as pool:
-        a = run_ensemble(plan, 300, seed=1, workers=pool)
-        b = run_ensemble(plan, 250, seed=2, workers=pool)
-    assert starts == [{"max_workers": 2}]
+    a = run_ensemble(plan, 300, seed=1, workers=2)
+    b = run_ensemble(plan, 250, seed=2, workers=5)  # three chunks: no idle process
+    assert starts == [{"max_workers": 2}, {"max_workers": 3}]
     assert np.array_equal(a.std, run_ensemble(plan, 300, seed=1).std)
     assert np.array_equal(b.mean, run_ensemble(plan, 250, seed=2).mean)
 
@@ -580,20 +576,14 @@ def _stacked(pid):
     return plans, stacked
 
 
-@pytest.fixture(scope="module")
-def pool():
-    with sampling.WorkerPool(2) as shared:
-        yield shared
-
-
 @pytest.mark.parametrize("on_pool", [False, True], ids=["in-process", "pool"])
 @pytest.mark.parametrize("samples", [1, 70000, 131073])
 @pytest.mark.parametrize("pid", ["fig3", "fig4", "fig8"])
-def test_stacked_plan_equals_separate_runs_bit_for_bit(pool, pid, samples, on_pool):
+def test_stacked_plan_equals_separate_runs_bit_for_bit(pid, samples, on_pool):
     # a beta family shares its distribution, so its series share the codes
     plans, stacked = _stacked(pid)
     assert all(p.distribution == stacked.distribution for p in plans)
-    workers = pool if on_pool else None
+    workers = 2 if on_pool else 1
     together = run_ensemble(stacked, samples, seed=5, workers=workers)
     assert together.mean.shape == (3, stacked.steps + 1)
     for j, plan in enumerate(plans):

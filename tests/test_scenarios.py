@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -245,6 +246,26 @@ def test_reference_overflow_is_a_value_error(kind, params):
     _reference(pid, kind, **dict(params, steps=params["steps"] - 1))
     with pytest.raises(ValueError, match=f"^reference: {kind} overflows .* at step {params['steps']};"):
         _reference(pid, kind, **params)
+
+
+@pytest.mark.parametrize(
+    "cfg, keys",
+    [
+        (ScenarioConfig("digital", PauliChannelParams(0.05), omega=1e200, dt=1e200), "omega"),
+        (ScenarioConfig("analog", PauliRates(1e300), dt=1e10), "noise_k*"),
+        (ScenarioConfig("digital", PauliChannelParams(0.05), target=PauliRates(gz=1e300), dt=1e10),
+         "target_g*"),
+    ],
+    ids=["unitary", "device", "target"],
+)
+def test_a_generator_times_dt_that_overflows_names_its_keys(cfg, keys):
+    # raised before numpy can warn: the product is checked, not exponentiated
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: simulate([cfg]), lambda: diagnostics(cfg)):
+            with pytest.raises(ValueError) as info:
+                run()
+            assert str(info.value) == f"{keys} * dt: the generator times dt overflows the float range"
 
 
 def test_biased_predictions_unbiased_is_identity():
