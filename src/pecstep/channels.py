@@ -3,8 +3,8 @@ coefficient set used by the simulation scenarios.
 
 Every map q0*I + q1*XX + q2*YY + q3*ZZ (P P meaning rho -> P rho P) is
 diagonal in the Pauli-transfer basis (trace, x, y, z): the trace component
-is fixed at 1 (trace preservation) and the X/Y/Z components are scaled by
-the transfer eigenvalues
+is scaled by q0 + q1 + q2 + q3 (1 unless a biased sampler deforms the map,
+see coeffs_to_superop) and the X/Y/Z components by the transfer eigenvalues
 
     ex = q0 + q1 - q2 - q3   (cyclic).
 
@@ -117,14 +117,17 @@ def transfer_to_coeffs(e: tuple[float, float, float]) -> MitigationCoeffs:
     )
 
 
-def coeffs_to_transfer(q: MitigationCoeffs) -> tuple[float, float, float]:
+def coeffs_to_superop(q: MitigationCoeffs, bias: float = 1.0) -> np.ndarray:
+    """The sampled step of sampling_distribution(q, bias) in the limit of
+    infinitely many samples, gamma sum_b p_b s_b P_b: the map with weights
+    c_i = bias q_i and c0 = q0 + (1 - bias) sum|q_i|, q's own map at bias
+    1.  Its trace entry, 1 + 2 (1 - bias) sum_{q_i<0} |q_i|, is the
+    expected weight of one step."""
     q0, q1, q2, q3 = q.as_tuple()
-    return (q0 + q1 - q2 - q3, q0 - q1 + q2 - q3, q0 - q1 - q2 + q3)
-
-
-def coeffs_to_superop(q: MitigationCoeffs) -> np.ndarray:
-    """Pauli-transfer matrix of q0*I + q1*XX + q2*YY + q3*ZZ: diag(1, ex, ey, ez)."""
-    return np.diag((1.0,) + coeffs_to_transfer(q))
+    c0 = q0 + (1.0 - bias) * (abs(q1) + abs(q2) + abs(q3))
+    c1, c2, c3 = bias * q1, bias * q2, bias * q3
+    trace = 1.0 + 2.0 * (1.0 - bias) * sum(-qi for qi in (q1, q2, q3) if qi < 0)
+    return np.diag((trace, c0 + c1 - c2 - c3, c0 - c1 + c2 - c3, c0 - c1 - c2 + c3))
 
 
 def channel_superop(p: PauliChannelParams) -> np.ndarray:
@@ -211,15 +214,3 @@ def sampling_distribution(q: MitigationCoeffs, bias: float = 1.0) -> SamplingDis
         signs=(_sign(q1), _sign(q2), _sign(q3)),
     )
 
-
-def expected_superop(d: SamplingDistribution) -> np.ndarray:
-    """Infinite-sample limit of the sampled mitigation step.
-
-    Equals coeffs_to_superop of the originating coefficients when the
-    distribution is unbiased; with bias it is the deformed (generally
-    trace-changing) map actually implemented: its trace entry is the
-    expected weight of one step.
-    """
-    probs = np.array(d.mu_tuple() + (1.0 - d.mu1 - d.mu2 - d.mu3,))
-    signs = np.array(d.signs + (1,))
-    return np.diag(d.prefactor * (probs * signs) @ BRANCH_DIAG)

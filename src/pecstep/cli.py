@@ -28,6 +28,7 @@ Config files are flat `key = value` lines, '#' starts a comment.  Keys:
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -196,12 +197,23 @@ def _workers() -> int:
     return workers
 
 
+def _write(written: list, path: Path, write, *args) -> str:
+    """write(path, *args), noting path in `written` for removal if the run
+    fails: first if it is new (a failed write may leave part of it), then
+    once written.  Returns the file's name."""
+    if not path.exists():
+        written.append(path)
+    write(path, *args)
+    written.append(path)  # a path noted twice is removed once
+    return path.name
+
+
 def _run_series(args, stem: str, named_configs) -> int:
     """Simulate the series under the --samples and --seed overrides, write
     their files into --output and print their names.  Every series is
-    checked before the directory is made, so a NaN or inf in any of them,
-    or a chart range wider than the float range, leaves no file and no directory
-    behind."""
+    checked before the directory is made, so a NaN or inf in any of them, or
+    a chart range wider than the float range, leaves no file and no
+    directory behind; nor does an OSError while writing, once it propagates."""
     names = [name for name, _ in named_configs]
     overrides = {k: getattr(args, k) for k in ("samples", "seed") if getattr(args, k) is not None}
     configs = [dataclasses.replace(cfg, **overrides) for _, cfg in named_configs]
@@ -216,26 +228,30 @@ def _run_series(args, stem: str, named_configs) -> int:
         _defined_columns(out_dir / f"{base}.csv", series)
         if args.svg:
             svg.y_range(base, series)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for base, name, cfg, (series, _) in zip(bases, names, configs, results):
-        csv_path = out_dir / f"{base}.csv"
-        write_csv(csv_path, series)
-        outputs.append(csv_path.name)
-        if args.svg:
-            svg_path = out_dir / f"{base}.svg"
-            svg.write(svg_path, base, series)
-            outputs.append(svg_path.name)
-        echoes.append({"series": name or stem, **config_echo(cfg)})
-    manifest = {
-        "artifact": "pecstep",
-        "version": __version__,
-        "outputs": outputs,
-        "configs": echoes,
-        "wall_clock_s": round(time.perf_counter() - t0, 3),
-    }
-    manifest_path = out_dir / f"{stem}.manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    for name in outputs + [manifest_path.name]:
+    made = [] if out_dir.exists() else [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    written = []
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for base, name, cfg, (series, _) in zip(bases, names, configs, results):
+            outputs.append(_write(written, out_dir / f"{base}.csv", write_csv, series))
+            if args.svg:
+                outputs.append(_write(written, out_dir / f"{base}.svg", svg.write, base, series))
+            echoes.append({"series": name or stem, **config_echo(cfg)})
+        manifest = {
+            "artifact": "pecstep",
+            "version": __version__,
+            "outputs": outputs,
+            "configs": echoes,
+            "wall_clock_s": round(time.perf_counter() - t0, 3),
+        }
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        manifest_name = _write(written, out_dir / f"{stem}.manifest.json", Path.write_text, text)
+    except OSError:
+        for path in written + made:
+            with contextlib.suppress(OSError):
+                path.rmdir() if path in made else path.unlink()
+        raise
+    for name in outputs + [manifest_name]:
         print(name)
     return 0
 

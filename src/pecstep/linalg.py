@@ -104,8 +104,8 @@ def pauli_to_density(r: np.ndarray) -> np.ndarray:
 
 
 def orbit(maps, r0: np.ndarray) -> np.ndarray:
-    """Pauli coordinates r_0 = r0, r_{n+1} = maps[n] @ r_n, one row per
-    step: the states a sequence of n step maps takes r0 through.
+    """Vectors r_0 = r0, r_{n+1} = maps[n] @ r_n, one row per step: the
+    states a sequence of n square step maps, of r0's size, takes r0 through.
 
     A blocked step loop, about 2 sqrt(n) numpy calls instead of n: the maps
     are cut into blocks of width w = isqrt(n), the last one padded with the
@@ -115,23 +115,23 @@ def orbit(maps, r0: np.ndarray) -> np.ndarray:
     every step.
     """
     maps = np.asarray(maps, dtype=float)
-    n = len(maps)
-    r = np.empty((n + 1, 4))
+    n, d = len(maps), len(r0)
+    r = np.empty((n + 1, d))
     r[0] = r0
     if n == 0:
         return r
     w = math.isqrt(n)
     blocks = -(-n // w)
-    p = np.empty((blocks * w, 4, 4))
+    p = np.empty((blocks * w, d, d))
     p[:n] = maps
-    p[n:] = np.eye(4)
-    p = p.reshape(blocks, w, 4, 4)
+    p[n:] = np.eye(d)
+    p = p.reshape(blocks, w, d, d)
     for l in range(1, w):
         np.matmul(p[:, l], p[:, l - 1], out=p[:, l])
-    start = np.empty((blocks, 4))
+    start = np.empty((blocks, d))
     start[0] = r0
     for b in range(1, blocks):
         start[b] = p[b - 1, -1] @ start[b - 1]
-    r[1:] = np.einsum("blij,bj->bli", p, start).reshape(-1, 4)[:n]
+    r[1:] = np.einsum("blij,bj->bli", p, start).reshape(-1, d)[:n]
     return r
 

@@ -6,6 +6,8 @@ signed weight signs[i] * gamma, identity otherwise with weight +gamma.
 A plan is in the real Pauli-transfer basis: a state is its coordinates
 (trace, x, y, z) = Tr(P rho) for P = I, X, Y, Z, the deterministic map is
 a real 4x4 matrix R and a Pauli branch is a +-1 diagonal (BRANCH_DIAG).
+A plan holds only what is sampled; the limit of infinitely many samples,
+R followed by the expected sampled step, is scenarios.step_maps.
 
 A trajectory's weight always has magnitude gamma^n; only its sign is
 random.  The ensemble therefore folds the branch sign into the state (the
@@ -71,18 +73,17 @@ RHO0.setflags(write=False)
 
 @dataclass(frozen=True, eq=False)
 class StepPlan:
-    """One experiment step, repeated `steps` times from RHO0.
+    """One sampled experiment step, repeated `steps` times from RHO0.
 
     `deterministic` is the physical step's Pauli-transfer matrix (unitary
     layer then noise channel for digital hardware, one combined exponential
-    for analog).  `mitigation` is the infinite-sample Pauli-transfer matrix
-    of the sampled mitigation step.  Both may carry a leading axis, shape
-    (k, 4, 4), for k series sharing `distribution` and `steps`; only
-    run_ensemble takes such a stacked plan.
+    for analog), followed by one Pauli drawn from `distribution`.  It may
+    carry a leading axis, shape (k, 4, 4), for k series sharing
+    `distribution` and `steps`; only run_ensemble takes such a stacked
+    plan.
     """
 
     deterministic: np.ndarray
-    mitigation: np.ndarray
     distribution: SamplingDistribution
     steps: int
 

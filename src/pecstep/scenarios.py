@@ -12,10 +12,12 @@ map.  The mitigation coefficients are chosen per configuration:
     linear-inverse exact inverse of the linearized device channel (analog only)
     none           identity
 
-Every experiment starts from sampling.RHO0 = |1><1|.  The ideal evolution
-steps it through linalg.orbit, the blocked step loop the trajectory
-replay also uses.  A TimeSeries column the configuration does not define
-is None; the CSV and SVG writers go by that alone.  simulate runs one
+build_scenario's step plan is what the ensemble samples; step_maps gives
+its infinite-sample limit, the mitigated step M C (M the expected sampled
+step, under any bias), and the target step.  Every experiment starts from
+sampling.RHO0 = |1><1|, which the ideal evolution steps through
+linalg.orbit.  A TimeSeries column the configuration does not define is
+None; the CSV and SVG writers go by that alone.  simulate runs one
 ensemble per group of configs that share their branch codes, as a stacked
 plan, on up to `workers` processes (see sampling.run_ensemble).
 """
@@ -155,23 +157,16 @@ def build_scenario(cfg: ScenarioConfig) -> sampling.StepPlan:
         # one exponential: the noise acts during the Hamiltonian evolution
         deterministic = expm(_scaled_generator(cfg, cfg.device, "noise_k*"))
 
-    q = mitigation_coeffs(cfg)
-    dist = channels.sampling_distribution(q, bias=1.0 if cfg.bias is None else cfg.bias)
-    if cfg.bias is None:
-        mitigation = channels.coeffs_to_superop(q)
-    else:
-        mitigation = channels.expected_superop(dist)
-    return sampling.StepPlan(
-        deterministic=deterministic,
-        mitigation=mitigation,
-        distribution=dist,
-        steps=cfg.steps,
-    )
+    dist = channels.sampling_distribution(mitigation_coeffs(cfg), cfg.bias or 1.0)
+    return sampling.StepPlan(deterministic=deterministic, distribution=dist, steps=cfg.steps)
 
 
-def _exact_step(cfg: ScenarioConfig) -> np.ndarray:
-    """One step exp((L_h + L_d) dt) of the target dynamics."""
-    return expm(_scaled_generator(cfg, cfg.target, "target_g*"))
+def step_maps(cfg: ScenarioConfig, plan: sampling.StepPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The one-step maps of the infinite-sample limit: the mitigated step
+    M C, the plan's deterministic map C followed by the expected sampled
+    step M (channels.coeffs_to_superop), and the target exp((L_h + L_d) dt)."""
+    mitigation = channels.coeffs_to_superop(mitigation_coeffs(cfg), cfg.bias or 1.0)
+    return mitigation @ plan.deterministic, expm(_scaled_generator(cfg, cfg.target, "target_g*"))
 
 
 def biased_predictions(kappa: float, dt: float, mu_prime: float) -> tuple[float, float]:
@@ -284,9 +279,9 @@ def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) 
     Also evolves the exact target dynamics exp((L_h + L_d) t) and records
     the fidelity of the mitigated state against it per step.  Both are
     stepped in Pauli coordinates (trace, x, y, z) by one real 4x4 transfer
-    matrix each per series: the mitigated step M C, and exp((L_h + L_d) dt)
-    for the target.  Each is repeated `steps` times as a broadcast view,
-    not copied, and run through linalg.orbit, the blocked step loop.
+    matrix each per series, the two of step_maps: the mitigated step M C,
+    and exp((L_h + L_d) dt) for the target.  Each is repeated `steps` times
+    as a broadcast view, not copied, and run through linalg.orbit.
     `plan` is build_scenario(cfg), built here when not given.  A mitigated
     state that blows up leaves inf or NaN in the series, which
     cli.write_csv refuses.
@@ -295,8 +290,7 @@ def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) 
         plan = build_scenario(cfg)
     shape = (cfg.steps, 4, 4)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = orbit(np.broadcast_to(plan.mitigation @ plan.deterministic, shape), sampling.RHO0)
-        e = orbit(np.broadcast_to(_exact_step(cfg), shape), sampling.RHO0)
+        r, e = (orbit(np.broadcast_to(m, shape), sampling.RHO0) for m in step_maps(cfg, plan))
 
         # qubit fidelity Tr(rho sigma) + 2 sqrt(det rho det sigma), with
         # Tr(rho sigma) = (t1 t2 + x1 x2 + y1 y2 + z1 z2) / 2; the complex
@@ -352,7 +346,6 @@ def simulate(
     for (samples, seed, steps, distribution), members in groups.items():
         stacked = sampling.StepPlan(
             deterministic=np.stack([plans[i].deterministic for i in members]),
-            mitigation=np.stack([plans[i].mitigation for i in members]),
             distribution=distribution,
             steps=steps,
         )
@@ -382,12 +375,11 @@ def diagnostics(cfg: ScenarioConfig) -> dict:
     unitary = unitary_generator(cfg.omega, cfg.beta)
     target = pauli_dissipator(cfg.target)
     plan = build_scenario(cfg)
-    step_error = plan.mitigation @ plan.deterministic - _exact_step(cfg)
     d = {
         "comm_target_unitary": commutator_norm(target, unitary),
         "comm_device_unitary": commutator_norm(device, unitary),
         "comm_diff_unitary": commutator_norm(target - device, unitary),
-        "one_step_error": float(np.linalg.norm(step_error)),
+        "one_step_error": float(np.linalg.norm(np.subtract(*step_maps(cfg, plan)))),
         "coeffs": mitigation_coeffs(cfg),
         "distribution": plan.distribution,
         "overhead": plan.distribution.prefactor,

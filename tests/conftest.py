@@ -112,7 +112,7 @@ def sequential_orbit(maps, r0, dtype=float):
     for linalg.orbit's blocked loop; dtype=np.longdouble gives a reference
     with more bits on platforms where long double is wider than double."""
     maps = np.asarray(maps, dtype=dtype)
-    r = np.empty((len(maps) + 1, 4), dtype=dtype)
+    r = np.empty((len(maps) + 1, len(r0)), dtype=dtype)
     r[0] = r0
     for n, step in enumerate(maps):
         r[n + 1] = step @ r[n]
@@ -163,6 +163,16 @@ class ExhaustiveResult:
 BRANCH_DIAGONALS = np.array(
     [np.diag(to_pauli_transfer(conjugation(p))).real for p in (X, Y, Z, I2)]
 )
+
+
+def expected_superop(dist) -> np.ndarray:
+    """Infinite-sample limit of the sampled mitigation step, read from the
+    sampling distribution alone: gamma * sum_b p_b s_b D_b over the X, Y, Z
+    and identity branches, D_b from BRANCH_DIAGONALS.  The oracle for
+    channels.coeffs_to_superop(q, bias), which states it in (q, bias)."""
+    probs = np.array(dist.mu_tuple() + (1.0 - dist.mu1 - dist.mu2 - dist.mu3,))
+    signs = np.array(dist.signs + (1,))
+    return np.diag(dist.prefactor * (probs * signs) @ BRANCH_DIAGONALS)
 
 
 def exhaustive_expectation(plan) -> ExhaustiveResult:

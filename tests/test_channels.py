@@ -2,16 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pecstep.channels import (
     MitigationCoeffs,
     PauliChannelParams,
     channel_superop,
     coeffs_to_superop,
-    coeffs_to_transfer,
     exact_coeffs,
-    expected_superop,
     first_order_coeffs,
     lambda_to_transfer,
     linear_inverse_coeffs,
@@ -20,8 +18,15 @@ from pecstep.channels import (
 )
 from pecstep.generators import PauliRates, pauli_dissipator
 from pecstep.linalg import expm, pauli_coords, pauli_to_density
+from pecstep.sampling import StepPlan
 
-from conftest import kappa_to_lambda, max_abs_diff, random_density
+from conftest import (
+    exhaustive_expectation,
+    expected_superop,
+    kappa_to_lambda,
+    max_abs_diff,
+    random_density,
+)
 
 
 # Independent oracles: the closed-form coefficient expressions written out
@@ -106,7 +111,7 @@ def test_coeffs_transfer_roundtrip(q1, q2, q3):
     if not q0 > 0:
         return
     q = MitigationCoeffs(q0, q1, q2, q3)
-    back = transfer_to_coeffs(coeffs_to_transfer(q))
+    back = transfer_to_coeffs(tuple(np.diag(coeffs_to_superop(q))[1:]))
     assert np.allclose(back.as_tuple(), q.as_tuple(), atol=1e-13)
 
 
@@ -348,10 +353,28 @@ def test_sampling_distribution_rejects_overflowing_bias():
         sampling_distribution(q, bias=0.0)
 
 
-def test_expected_superop_matches_coeffs_when_unbiased(rng):
-    q = MitigationCoeffs(1.3, -0.1, -0.15, -0.05)
-    d = sampling_distribution(q, bias=1.0)
-    assert max_abs_diff(expected_superop(d), coeffs_to_superop(q)) < 1e-15
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    qs=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    bias=st.one_of(st.just(1.0), st.floats(0.5, 1.5)),
+)
+def test_coeffs_to_superop_is_the_expected_sampled_step(qs, bias):
+    # q of either sign, wherever sampling_distribution accepts (q, bias)
+    q0 = 1.0 - sum(qs)
+    assume(q0 > 0.0)
+    q = MitigationCoeffs(q0, *qs)
+    try:
+        dist = sampling_distribution(q, bias)
+    except ValueError:
+        assume(False)
+    got, want = coeffs_to_superop(q, bias), expected_superop(dist)
+    scale = np.abs(want).max()  # relative to the map's largest entry
+    assert max_abs_diff(got, want) <= 1e-15 * scale
+    # the trace entry is the expected weight of one sampled step
+    weight = exhaustive_expectation(StepPlan(np.eye(4), dist, steps=1)).weight_mean[1]
+    assert abs(got[0, 0] - weight) <= 1e-15 * scale
+    if bias == 1.0:
+        assert got[0, 0] == 1.0
 
 
 @settings(max_examples=50)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -444,6 +445,38 @@ def test_a_nan_in_a_later_series_leaves_no_file_and_no_directory(tmp_path, capsy
     assert not any(existing.iterdir())
     err = capsys.readouterr().err
     assert err.count("error: ideal: NaN at step 1 ") == 2 and "fig5_betapi2.csv" in err
+
+
+def test_a_failed_write_removes_the_files_of_its_run(tmp_path, capsys):
+    # the CSV is written, then the SVG's path turns out to be a directory
+    out = tmp_path / "pd"
+    (out / "fig1a.svg").mkdir(parents=True)
+    assert main(["figure", "fig1a", "--samples", "0", "--svg", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 21] Is a directory: ") and captured.out == ""
+    assert [p.name for p in out.iterdir()] == ["fig1a.svg"]
+    assert (out / "fig1a.svg").is_dir() and not any((out / "fig1a.svg").iterdir())
+
+
+def test_a_failed_write_into_a_new_directory_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    svg_write = cli.svg.write
+
+    def svg_write_until_the_disk_is_full(path, title, series):
+        if path.name == "fig5_betapi2.svg":  # the last SVG, of which part is written
+            path.write_text("<svg")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        svg_write(path, title, series)
+
+    monkeypatch.setattr(cli.svg, "write", svg_write_until_the_disk_is_full)
+    args = ["figure", "fig5", "--samples", "0", "--svg", "--output"]
+    assert main(args + [str(tmp_path / "new" / "out")]) == 2
+    assert not (tmp_path / "new").exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    (existing / "notes.txt").write_text("kept\n")
+    assert main(args + [str(existing)]) == 2
+    assert [p.name for p in existing.iterdir()] == ["notes.txt"]
+    assert capsys.readouterr().err.count("error: [Errno 28] ") == 2
 
 
 def _spanning_the_float_range(series):

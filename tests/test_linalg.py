@@ -237,6 +237,18 @@ def test_orbit_matches_sequential_loop_on_constant_map(rng, n):
     assert np.array_equal(orbit([step] * n, r0), orbit(np.broadcast_to(step, (n, 4, 4)), r0))
 
 
+@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("n", ORBIT_LENGTHS)
+def test_orbit_takes_the_state_size_from_the_start(rng, d, n):
+    # random orthogonal maps keep every state at the start's norm, so the
+    # relative bound holds at every step
+    maps = np.linalg.qr(rng.normal(size=(n, d, d)))[0] if n else np.empty((0, d, d))
+    r0 = rng.normal(size=d)
+    got, seq = orbit(maps, r0), sequential_orbit(maps, r0)
+    assert got.shape == seq.shape == (n + 1, d)
+    assert np.abs(got - seq).max() <= 1e-12 * np.abs(seq).max()
+
+
 def test_orbit_of_no_maps_is_the_start_state():
     r0 = np.array([1.0, 0.0, 0.0, 1.0])
     assert np.array_equal(orbit(np.empty((0, 4, 4)), r0), r0[None])

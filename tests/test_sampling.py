@@ -569,7 +569,6 @@ def _stacked(pid):
     plans = [_plan(cfg) for _, cfg in PRESETS[pid].series]
     stacked = sampling.StepPlan(
         deterministic=np.stack([p.deterministic for p in plans]),
-        mitigation=np.stack([p.mitigation for p in plans]),
         distribution=plans[0].distribution,
         steps=plans[0].steps,
     )

@@ -21,6 +21,7 @@ from pecstep.scenarios import (
     mitigation_coeffs,
     resolve_reference,
     simulate,
+    step_maps,
 )
 
 LAM_OPEN = PauliChannelParams(0.16, 0.12, 0.2)
@@ -133,7 +134,7 @@ def test_analog_linear_inverse_matches_deformed_form():
     # amplitude blows past 1: the non-physical average is kept, not clipped,
     # and the mitigated state leaves the physical set (det rho < 0)
     assert ts.ideal.max() > 1.0
-    r = sequential_orbit([plan.mitigation @ plan.deterministic] * cfg.steps, RHO0)
+    r = sequential_orbit([step_maps(cfg, plan)[0]] * cfg.steps, RHO0)
     assert ((r[:, 0] ** 2 - (r[:, 1:] ** 2).sum(axis=1)) / 4).min() < 0.0
 
 
@@ -141,7 +142,7 @@ def test_trace_preserved_at_every_step():
     for pid in ("fig1a", "fig1b", "fig2b", "fig5", "fig6a"):
         name, cfg = PRESETS[pid].series[0]
         plan = build_scenario(replace(cfg, samples=0))
-        step = plan.mitigation @ plan.deterministic
+        step = step_maps(cfg, plan)[0]
         r = RHO0
         for _ in range(cfg.steps):
             r = step @ r
@@ -155,7 +156,7 @@ def test_trace_preserved_at_every_step():
 )
 def test_unbiased_step_map_keeps_trace_exactly(key, cfg):
     plan = build_scenario(cfg)
-    assert np.array_equal((plan.mitigation @ plan.deterministic)[0], [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(step_maps(cfg, plan)[0][0], [1.0, 0.0, 0.0, 0.0])
 
 
 _PRESET_SERIES = [(f"{pid}/{name}" if name else pid, cfg)
@@ -168,7 +169,7 @@ def test_ideal_evolution_matches_sequential_loop_over_dt_sweep(key, cfg):
     for k in (1, 2, 4, 8):
         sweep = replace(cfg, dt=0.5 / k, steps=20 * k, samples=0)
         plan = build_scenario(sweep)
-        r = sequential_orbit([plan.mitigation @ plan.deterministic] * sweep.steps, RHO0)
+        r = sequential_orbit([step_maps(sweep, plan)[0]] * sweep.steps, RHO0)
         ideal = ideal_evolution(sweep, plan).ideal
         assert np.abs(ideal - 0.5 * (r[:, 0] + r[:, 3])).max() <= 1e-13, k
 
@@ -370,17 +371,22 @@ def test_digital_and_analog_open_exact_are_equivalent():
         split = expm(pauli_dissipator(GAMMA_X) * 0.5) @ expm(unitary_generator(1.0, beta) * 0.5)
         for cfg in (dig, ana):
             plan = build_scenario(cfg)
-            assert max_abs_diff(plan.mitigation @ plan.deterministic, split) < 1e-12
+            assert max_abs_diff(step_maps(cfg, plan)[0], split) < 1e-12
 
 
 @pytest.mark.parametrize("lam", [(0.05, 0.05, 0.0), (0.3, 0.3, 0.0)], ids=["weak", "ez<0"])
 def test_open_exact_on_a_channel_without_rates_reaches_the_target_noise(lam):
     # neither channel is exp(L dt) for nonnegative rates, and the second
     # (ez = -0.2) has no real logarithm; the mitigation map needs neither
+    # omega = 0: the unitary layer is the identity, so the mitigated step is
+    # the mitigation map after the channel
     device = PauliChannelParams(*lam)
-    cfg = ScenarioConfig(hardware="digital", device=device, target=GAMMA_X)
-    after_channel = build_scenario(cfg).mitigation @ channel_superop(device)
-    assert max_abs_diff(after_channel, expm(pauli_dissipator(GAMMA_X) * cfg.dt)) < 1e-12
+    cfg = ScenarioConfig(hardware="digital", device=device, target=GAMMA_X, omega=0.0)
+    plan = build_scenario(cfg)
+    assert np.array_equal(plan.deterministic, channel_superop(device))
+    after_channel, target = step_maps(cfg, plan)
+    assert np.array_equal(target, expm(pauli_dissipator(GAMMA_X) * cfg.dt))
+    assert max_abs_diff(after_channel, target) < 1e-12
 
 
 def test_no_trotter_error_when_rate_mismatch_is_depolarizing():
