@@ -49,12 +49,17 @@ coefficients of the map restricted to them (_rotate), and a branch factor
 runs the chunks in this process, or on one process pool of at most one
 worker per chunk that it starts and stops itself.
 
+Start-up: the pool comes from this module's ProcessPoolExecutor, which
+imports concurrent.futures' executor on its first call, and numpy.random
+is first imported by a draw (_philox) or by run_ensemble just before it
+starts a pool.  Importing the package, or a run that neither samples nor
+pools, loads neither multiprocessing nor numpy.random.
+
 Every plan starts from RHO0 = |1><1|, the initial state of every
 experiment here.
 """
 
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,7 +173,7 @@ def _rotate(rows: list, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.n
     return out
 
 
-def _philox(seed: int, chunk: int) -> np.random.Philox:
+def _philox(seed: int, chunk: int) -> "np.random.Philox":
     return np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
 
 
@@ -211,7 +216,7 @@ def run_trajectory(plan: StepPlan, seed: int, index: int = 0) -> TrajectoryResul
     return TrajectoryResult(states=pauli_to_density(r), weights=weights)
 
 
-def _branch_codes(gen: np.random.Generator, cum: np.ndarray, rows: int, steps: int) -> np.ndarray:
+def _branch_codes(gen: "np.random.Generator", cum: np.ndarray, rows: int, steps: int) -> np.ndarray:
     """Packed step-major branch codes, shape (ceil(steps/4), rows), of the
     next `rows` rows of the generator's uniform block: the 2-bit code of
     step 4q + j sits in bits 2j, 2j+1 of byte q, and unused bits are zero.
@@ -366,6 +371,16 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int) -> list:
     return stats(rows)
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor(max_workers=max_workers),
+    imported by the first call: an invocation that starts no pool never
+    loads multiprocessing.  Tests and bench/trace.py patch this name to
+    count pool starts."""
+    import concurrent.futures
+
+    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches the callers' NaN checks
 def run_ensemble(plan: StepPlan, samples: int, seed: int, workers: int = 1) -> EnsembleStats:
     """Ensemble statistics over `samples` independent trajectories.
@@ -395,6 +410,9 @@ def run_ensemble(plan: StepPlan, samples: int, seed: int, workers: int = 1) -> E
         (plan, seed, c, min(CHUNK, samples - c * CHUNK)) for c in range(n_chunks)
     ]
     if workers > 1 and n_chunks > 1:
+        # loaded once here, or every forked worker of every pool would load it
+        import numpy.random  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
             partials = list(pool.map(_chunk_stats, *zip(*jobs)))
     else:
