@@ -224,7 +224,7 @@ def _run_series(args, stem: str, named_configs) -> int:
     echoes = []
     results = simulate(configs, workers=workers)
     bases = [stem if not name else f"{stem}_{name}" for name in names]
-    for base, (series, _) in zip(bases, results):
+    for base, series in zip(bases, results):
         _defined_columns(out_dir / f"{base}.csv", series)
         if args.svg:
             svg.y_range(base, series)
@@ -232,7 +232,7 @@ def _run_series(args, stem: str, named_configs) -> int:
     written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for base, name, cfg, (series, _) in zip(bases, names, configs, results):
+        for base, name, cfg, series in zip(bases, names, configs, results):
             outputs.append(_write(written, out_dir / f"{base}.csv", write_csv, series))
             if args.svg:
                 outputs.append(_write(written, out_dir / f"{base}.svg", svg.write, base, series))
@@ -283,7 +283,7 @@ def cmd_diagnose(args) -> int:
     print(f"coefficients q = ({g(q.q0)}, {g(q.q1)}, {g(q.q2)}, {g(q.q3)})")
     print(f"sampling mu = ({g(dist.mu1)}, {g(dist.mu2)}, {g(dist.mu3)}) "
           f"signs = {dist.signs}")
-    print(f"per-step overhead factor = {g(d['overhead'])}")
+    print(f"per-step overhead factor = {g(dist.prefactor)}")
     return 0
 
 
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -107,8 +107,8 @@ class TrajectoryResult:
 class EnsembleStats:
     """Per-step statistics of the weighted observable over an ensemble.
 
-    The arrays of a stacked plan's statistics carry its leading axis;
-    stats[j] is series j alone.
+    The arrays of a stacked plan's statistics carry its leading axis; row
+    j is series j alone.
     """
 
     samples: int
@@ -118,9 +118,6 @@ class EnsembleStats:
     @property
     def stderr(self) -> np.ndarray:
         return self.std / np.sqrt(self.samples)
-
-    def __getitem__(self, j) -> "EnsembleStats":
-        return EnsembleStats(self.samples, self.mean[j], self.std[j])
 
 
 def _branch_tables(dist: SamplingDistribution):
@@ -258,7 +255,7 @@ def _flips(sign: np.ndarray) -> list:
 
 
 def _block_stats(support: list, rot: list, flips: list, codes: np.ndarray, steps: int):
-    """Partials (rows, s1, m2) of one sub-block over `steps` steps, from its
+    """Partials (s1, m2) of one sub-block over `steps` steps, from its
     packed branch codes (_branch_codes): the observable sum s1 and its
     centered second moment m2 (two-pass, which keeps the spread of a
     constant observable at zero), per step.
@@ -316,13 +313,13 @@ def _block_stats(support: list, rot: list, flips: list, codes: np.ndarray, steps
         v, out = out, v
         signs, signs_out = signs_out, signs
         record(s + 1)
-    return rows, s1, m2
+    return s1, m2
 
 
 def _merge(parts):
-    """Merge (rows, s1, m2) partials of disjoint row sets, in order: the
-    sums s1 add, and the centered moments m2 combine as
-    sum (x - mean)^2 = sum_c [M2_c + n_c (mean_c - mean)^2]."""
+    """Merge (rows, s1, m2) partials of disjoint row sets, in order and
+    element by element: the sums s1 add, and the centered moments m2
+    combine as sum (x - mean)^2 = sum_c [M2_c + n_c (mean_c - mean)^2]."""
     rows = sum(p[0] for p in parts)
     s1 = np.zeros_like(parts[0][1])
     for _, p1, _ in parts:
@@ -335,9 +332,9 @@ def _merge(parts):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow reaches the callers' NaN checks
-def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int) -> list:
+def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int) -> tuple:
     """Partials (rows, s1, m2) of one chunk, in sign-folded units (see
-    _block_stats), one per deterministic map of the plan.
+    _block_stats); s1 and m2 carry a stacked plan's leading axis.
 
     The chunk is walked in sub-blocks of at most SUB_ROWS rows whose rows x
     steps fit in BLOCK_BYTES, but never fewer than 128 rows (beyond 65536
@@ -345,13 +342,14 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int) -> list:
     packed codes take rows x ceil(steps/4) bytes; they are drawn once and
     every map steps through them.  The chunk is split as numpy's pairwise
     summation splits a sum (halves rounded down to a multiple of 8) and
-    each map's partials are merged back up the same tree.  numpy sums at
+    the partials are merged back up the same tree.  numpy sums at
     most 128 values with 8 interleaved accumulators rather than by halves,
     so with sub-blocks of 128 rows or more every leaf is a node of numpy's
     own tree: s1 equals the sum over the whole chunk bit for bit, and m2
     moves by rounding only.
     """
     steps = plan.steps
+    shape = np.shape(plan.deterministic)[:-2] + (steps + 1,)
     cum, sign = _branch_tables(plan.distribution)
     flips = _flips(sign)
     kernels = []
@@ -364,9 +362,10 @@ def _chunk_stats(plan: StepPlan, seed: int, chunk: int, rows: int) -> list:
     def stats(n):  # the generator's next n rows
         if n <= leaf:
             codes = _branch_codes(gen, cum, n, steps)
-            return [_block_stats(*kernel, codes, steps) for kernel in kernels]
+            parts = [_block_stats(*kernel, codes, steps) for kernel in kernels]
+            return (n, *(np.reshape(a, shape) for a in zip(*parts)))
         half = n // 2 - n // 2 % 8 or n // 2  # numpy's split; halves below 16 rows
-        return [_merge(pair) for pair in zip(stats(half), stats(n - half))]
+        return _merge([stats(half), stats(n - half)])
 
     return stats(rows)
 
@@ -418,9 +417,7 @@ def run_ensemble(plan: StepPlan, samples: int, seed: int, workers: int = 1) -> E
     else:
         partials = [_chunk_stats(*job) for job in jobs]
 
-    lead = np.shape(plan.deterministic)[:-2]  # () for a single map
-    merged = [_merge(parts) for parts in zip(*partials)]
-    s1, m2 = (np.stack([m[i] for m in merged]).reshape(lead + (steps + 1,)) for i in (1, 2))
+    _, s1, m2 = _merge(partials)
     mean = s1 / samples
     std = gamma_n * np.sqrt(m2 / (samples - 1)) if samples > 1 else np.zeros_like(s1)
     return EnsembleStats(samples=samples, mean=gamma_n * mean, std=std)

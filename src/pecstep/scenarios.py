@@ -40,6 +40,10 @@ from .linalg import expm, orbit
 
 HARDWARE = ("digital", "analog")
 MITIGATIONS = ("exact", "first-order", "linear-inverse", "none")
+# Largest power of ten of the per-step rotation angle 2|omega| dt at which
+# linalg.expm of the rotation stays orthogonal to 1e-8 (7.5e-9 at 1e8,
+# 6e-8 at 1e9); past it the float angle loses its digits.
+MAX_ANGLE = 1e8
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,8 @@ def _scaled_generator(cfg: ScenarioConfig, rates: PauliRates | None = None, keys
     named `keys` in messages.  The two parts touch disjoint entries, so
     scaling each by dt gives the scaled sum exactly.  Raises ValueError
     naming the config keys whose product with dt overflows the float
-    range."""
+    range, or naming omega * dt when the step's rotation angle exceeds
+    MAX_ANGLE."""
     with np.errstate(over="ignore", invalid="ignore"):
         parts = [("omega", unitary_generator(cfg.omega, cfg.beta) * cfg.dt)]
         if rates is not None:
@@ -144,6 +149,12 @@ def _scaled_generator(cfg: ScenarioConfig, rates: PauliRates | None = None, keys
     for name, part in parts:
         if not np.isfinite(part).all():
             raise ValueError(f"{name} * dt: the generator times dt overflows the float range")
+    angle = 2.0 * abs(cfg.omega) * cfg.dt
+    if angle > MAX_ANGLE:
+        raise ValueError(
+            f"omega * dt: the rotation angle 2|omega| dt = {angle:.6g} per step exceeds "
+            f"{MAX_ANGLE:g}, past which its float exponential is no rotation; use a smaller dt"
+        )
     return parts[0][1] if rates is None else parts[0][1] + parts[1][1]
 
 
@@ -324,12 +335,10 @@ def ideal_evolution(cfg: ScenarioConfig, plan: sampling.StepPlan | None = None) 
     )
 
 
-def simulate(
-    configs: list[ScenarioConfig], workers: int = 1
-) -> list[tuple[TimeSeries, sampling.EnsembleStats | None]]:
+def simulate(configs: list[ScenarioConfig], workers: int = 1) -> list[TimeSeries]:
     """Ideal evolution of each config plus, when its samples > 0, the Monte
-    Carlo ensemble on up to `workers` processes (see sampling.run_ensemble),
-    in config order.
+    Carlo mean and standard error on up to `workers` processes (see
+    sampling.run_ensemble), in config order.
 
     Configs with equal (samples, seed, steps, sampling distribution), such
     as the series of a beta family, run as one stacked plan: they share
@@ -337,7 +346,7 @@ def simulate(
     run bit for bit.
     """
     plans = [build_scenario(cfg) for cfg in configs]
-    results = [(ideal_evolution(cfg, plan), None) for cfg, plan in zip(configs, plans)]
+    results = [ideal_evolution(cfg, plan) for cfg, plan in zip(configs, plans)]
     groups = {}
     for i, (cfg, plan) in enumerate(zip(configs, plans)):
         if cfg.samples > 0:
@@ -351,15 +360,14 @@ def simulate(
         )
         stats = sampling.run_ensemble(stacked, samples, seed, workers)
         for j, i in enumerate(members):
-            one = stats[j]
-            results[i] = (replace(results[i][0], mc_mean=one.mean, mc_stderr=one.stderr), one)
+            results[i] = replace(results[i], mc_mean=stats.mean[j], mc_stderr=stats.stderr[j])
     return results
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises below, naming its field
 def diagnostics(cfg: ScenarioConfig) -> dict:
     """Commutator norms, the one-step map error ||M C - exp((L_h + L_d) dt)||,
-    coefficients and sampling overhead for a config.
+    coefficients and sampling distribution, whose prefactor is the overhead.
 
     A digital device channel with transfer eigenvalues e enters as the
     generator diag(0, ln e) / dt, which needs every e > 0: the commutators
@@ -382,7 +390,6 @@ def diagnostics(cfg: ScenarioConfig) -> dict:
         "one_step_error": float(np.linalg.norm(np.subtract(*step_maps(cfg, plan)))),
         "coeffs": mitigation_coeffs(cfg),
         "distribution": plan.distribution,
-        "overhead": plan.distribution.prefactor,
     }
     for name, value in d.items():
         if isinstance(value, float) and not math.isfinite(value):

@@ -45,7 +45,7 @@ def test_criterion_1_digital_closed_exact():
         cfg = PRESETS["fig1a"].series[0][1]
         assert cfg.samples == 10**6
         start = time.perf_counter()
-        [(ts, stats)] = simulate([cfg])
+        [ts] = simulate([cfg])
         elapsed = time.perf_counter() - start
 
         assert np.abs(ts.ideal - closed_form(ts.t)).max() <= 1e-12

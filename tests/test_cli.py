@@ -226,7 +226,7 @@ def test_diagnose_refuses_an_overflowing_config(tmp_path, capsys):
         assert main(["diagnose", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: comm_device_unitary: inf ")
+    assert captured.err.startswith("error: omega * dt: the rotation angle 2|omega| dt = 1e+200 ")
 
 
 @pytest.mark.parametrize("device", ["hardware = digital\nnoise_lx = 0.05", "hardware = analog\nnoise_kx = 0.1"],
@@ -235,10 +235,43 @@ def test_run_on_an_overflowing_config_exits_without_a_warning(device, tmp_path, 
     cfg = _write(tmp_path, "big.cfg", device + "\nomega = 1e200\n")
     out = tmp_path / "out"
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # expm's overflow reaches the NaN check silently
+        warnings.simplefilter("error")  # refused before expm can overflow
         assert main(["run", "--config", str(cfg), "--output", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ideal: NaN at step 1 ")
+    assert capsys.readouterr().err.startswith("error: omega * dt: the rotation angle ")
     assert not out.exists()
+
+
+# a per-step rotation angle 2|omega| dt of 2e16: no digit of it is right
+_HUGE_ANGLE = "hardware = digital\nnoise_lx = 0.05\nmitigation = none\nsteps = 3\n"
+
+
+@pytest.mark.parametrize("command", ["run", "diagnose"])
+def test_a_rotation_angle_past_the_bound_exits_2(command, tmp_path, capsys):
+    cfg = _write(tmp_path, "spin.cfg", _HUGE_ANGLE + "omega = 1e8\ndt = 1e8\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg)] + ["--output", str(out)] * (command == "run")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: omega * dt: the rotation angle 2|omega| dt = 2e+16 per step exceeds 1e+08, "
+        "past which its float exponential is no rotation; use a smaller dt\n"
+    )
+    assert not out.exists()
+
+
+def test_a_rotation_angle_just_under_the_bound_runs(tmp_path, capsys):
+    cfg = _write(tmp_path, "spin.cfg", _HUGE_ANGLE + "omega = 4.9e7\ndt = 1\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--samples", "100", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [row.split(",") for row in (out / "spin.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    ideal = [float(row[2]) for row in rows]
+    assert all(0.0 <= p <= 1.0 for p in ideal)
 
 
 @pytest.mark.parametrize(
@@ -429,10 +462,10 @@ def test_a_nan_in_a_later_series_leaves_no_file_and_no_directory(tmp_path, capsy
 
     def simulate_with_nan_in_third_series(configs, workers=1):
         results = simulate(configs, workers=workers)
-        series, stats = results[2]
+        series = results[2]
         ideal = series.ideal.copy()
         ideal[1] = np.nan
-        results[2] = (replace(series, ideal=ideal), stats)
+        results[2] = replace(series, ideal=ideal)
         return results
 
     monkeypatch.setattr(cli, "simulate", simulate_with_nan_in_third_series)
@@ -488,7 +521,7 @@ def _spanning_the_float_range(series):
 
 
 def test_svg_refuses_a_chart_range_wider_than_the_float_range(tmp_path):
-    [(series, _)] = cli.simulate([ScenarioConfig("digital", PauliChannelParams())])
+    [series] = cli.simulate([ScenarioConfig("digital", PauliChannelParams())])
     wide = _spanning_the_float_range(series)
     cli.write_csv(tmp_path / "wide.csv", wide)  # the CSV itself is finite
     with pytest.raises(ValueError, match="^wide: the chart's y-range .* is wider than the float range"):
@@ -503,7 +536,7 @@ def test_run_svg_on_a_chart_range_wider_than_the_float_range_leaves_no_directory
 ):
     simulate = cli.simulate
     monkeypatch.setattr(cli, "simulate", lambda configs, workers=1: [
-        (_spanning_the_float_range(series), stats) for series, stats in simulate(configs, workers)])
+        _spanning_the_float_range(series) for series in simulate(configs, workers)])
     config = tmp_path / "wide.cfg"
     config.write_text("hardware = digital\nnoise_lx = 0.05\n")
     args = ["run", "--config", str(config), "--output", str(tmp_path / "out")]
@@ -532,7 +565,7 @@ def test_run_svg_on_a_y_span_below_the_float_spacing_ends(tmp_path, hardware):
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
 def test_csv_writer_refuses_infinity(tmp_path, value):
-    [(series, _)] = cli.simulate([ScenarioConfig("digital", PauliChannelParams())])
+    [series] = cli.simulate([ScenarioConfig("digital", PauliChannelParams())])
     fidelity = series.fidelity.copy()
     fidelity[3] = value
     path = tmp_path / "inf.csv"
@@ -654,13 +687,13 @@ def test_csv_writer_refuses_nan_in_defined_column(
     simulate = cli.simulate
 
     def simulate_with_nan(configs, workers=1):
-        [(series, stats)] = simulate(configs, workers=workers)
+        [series] = simulate(configs, workers=workers)
         values = getattr(series, column)
         if values is None:  # the config does not define the column
-            return [(series, stats)]
+            return [series]
         values = values.copy()
         values[2] = np.nan
-        return [(replace(series, **{column: values}), stats)]
+        return [replace(series, **{column: values})]
 
     monkeypatch.setattr(cli, "simulate", simulate_with_nan)
     cfg = _write(tmp_path, "unmit.cfg", UNMITIGATED_CFG + extra + "steps = 4\n")

@@ -28,6 +28,7 @@ from pecstep.scenarios import (
     ScenarioConfig,
     build_scenario,
     ideal_evolution,
+    simulate,
 )
 
 
@@ -518,9 +519,9 @@ def test_split_chunk_sums_equal_the_unsplit_sums_bit_for_bit(monkeypatch, rows):
     # the sub-blocks follow numpy's pairwise summation tree, so the
     # observable sums (hence the mean) do not move
     plan = _plan(_fig1a(steps=3))
-    [whole] = sampling._chunk_stats(plan, 6, 0, rows)
+    whole = sampling._chunk_stats(plan, 6, 0, rows)
     monkeypatch.setattr(sampling, "SUB_ROWS", 4096)
-    [split] = sampling._chunk_stats(plan, 6, 0, rows)
+    split = sampling._chunk_stats(plan, 6, 0, rows)
     assert split[0] == whole[0] == rows
     assert np.array_equal(split[1], whole[1])
     assert np.allclose(split[2], whole[2], rtol=1e-13, atol=0)
@@ -588,9 +589,22 @@ def test_stacked_plan_equals_separate_runs_bit_for_bit(pid, samples, on_pool):
     for j, plan in enumerate(plans):
         alone = run_ensemble(plan, samples, seed=5, workers=workers)
         for name in ("mean", "std", "stderr"):
-            assert np.array_equal(getattr(together[j], name), getattr(alone, name)), name
-        assert np.array_equal(together[j].stderr, together.stderr[j])
-        assert np.array_equal(together[j].stderr, together.std[j] / np.sqrt(samples))
+            assert np.array_equal(getattr(together, name)[j], getattr(alone, name)), name
+        assert np.array_equal(together.stderr[j], together.std[j] / np.sqrt(samples))
+
+
+@pytest.mark.parametrize("on_pool", [False, True], ids=["in-process", "pool"])
+def test_simulate_series_are_the_rows_of_the_stacked_ensemble(on_pool):
+    # simulate stacks the fig8 family into one plan and hands row j to series j
+    samples, seed, workers = 70000, 5, 2 if on_pool else 1
+    _, stacked = _stacked("fig8")
+    together = run_ensemble(stacked, samples, seed, workers=workers)
+    configs = [replace(cfg, samples=samples, seed=seed) for _, cfg in PRESETS["fig8"].series]
+    series = simulate(configs, workers=workers)
+    assert len(series) == len(together.mean) == 3
+    for j, ts in enumerate(series):
+        assert np.array_equal(ts.mc_mean, together.mean[j])
+        assert np.array_equal(ts.mc_stderr, together.stderr[j])
 
 
 def test_single_map_plan_keeps_its_shapes():

@@ -11,7 +11,7 @@ from pecstep.channels import PauliChannelParams, channel_superop
 from pecstep.generators import PauliRates, pauli_dissipator, unitary_generator
 from pecstep.linalg import expm
 from pecstep.presets import PRESETS
-from pecstep.sampling import RHO0
+from pecstep.sampling import RHO0, run_ensemble
 from pecstep.scenarios import (
     ScenarioConfig,
     biased_predictions,
@@ -254,8 +254,8 @@ def test_reference_overflow_is_a_value_error(kind, params):
     [
         (ScenarioConfig("digital", PauliChannelParams(0.05), omega=1e200, dt=1e200), "omega"),
         (ScenarioConfig("analog", PauliRates(1e300), dt=1e10), "noise_k*"),
-        (ScenarioConfig("digital", PauliChannelParams(0.05), target=PauliRates(gz=1e300), dt=1e10),
-         "target_g*"),
+        (ScenarioConfig("digital", PauliChannelParams(0.05), target=PauliRates(gz=1e300), dt=1e10,
+                        omega=1e-3), "target_g*"),
     ],
     ids=["unitary", "device", "target"],
 )
@@ -461,11 +461,12 @@ def test_reference_override_none():
 
 def test_simulate_fills_mc_columns():
     cfg = replace(PRESETS["fig1a"].series[0][1], samples=500, steps=5)
-    [(ts, stats)] = simulate([cfg])
-    assert stats is not None and stats.samples == 500
+    [ts] = simulate([cfg])
+    stats = run_ensemble(build_scenario(cfg), 500, cfg.seed)
+    assert np.array_equal(ts.mc_mean, stats.mean)
+    assert np.array_equal(ts.mc_stderr, stats.std / np.sqrt(500))
     assert np.isfinite(ts.mc_mean).all()
-    [(ts2, stats2)] = simulate([replace(cfg, samples=0)])
-    assert stats2 is None
+    [ts2] = simulate([replace(cfg, samples=0)])
     assert ts2.mc_mean is None and ts2.mc_stderr is None
 
 
@@ -501,11 +502,10 @@ def test_a_two_chunk_family_draws_one_stream_per_chunk(monkeypatch):
     configs = [replace(cfg, samples=1400, seed=4) for _, cfg in PRESETS["fig8"].series]
     results = simulate(configs)
     assert streams == [(4, 0), (4, 1)]
-    for cfg, (series, stats) in zip(configs, results):
-        [(alone, alone_stats)] = simulate([cfg])
+    for cfg, series in zip(configs, results):
+        [alone] = simulate([cfg])
         assert np.array_equal(series.mc_mean, alone.mc_mean)
         assert np.array_equal(series.mc_stderr, alone.mc_stderr)
-        assert np.array_equal(stats.std, alone_stats.std)
     assert len(streams) == 2 + 3 * 2
 
 
@@ -531,14 +531,14 @@ def test_simulate_groups_only_configs_that_share_their_draws(monkeypatch):
     monkeypatch.setattr(scenarios.sampling, "run_ensemble", counting_run_ensemble)
     results = simulate(configs)
     assert calls == [(1, 4, 4)] * 5
-    for cfg, (series, stats) in zip(configs, results):
-        [(alone, alone_stats)] = simulate([cfg])
+    for cfg, series in zip(configs, results):
+        [alone] = simulate([cfg])
         if cfg.samples == 0:
-            assert stats is None and alone_stats is None and series.mc_mean is None
+            assert series.mc_mean is None and alone.mc_mean is None
+            assert series.mc_stderr is None and alone.mc_stderr is None
             continue
         assert np.array_equal(series.mc_mean, alone.mc_mean)
         assert np.array_equal(series.mc_stderr, alone.mc_stderr)
-        assert np.array_equal(stats.std, alone_stats.std)
     calls.clear()
     simulate([base, replace(base, beta=0.3), replace(base, omega=2.0)])
     assert calls == [(3, 4, 4)]  # the Hamiltonian does not enter the draws
